@@ -16,7 +16,7 @@ from fractions import Fraction
 from .caps import DEFAULT_CAPS, Caps
 from .errors import ContractError, DomainError
 from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
-                        check_lambda, test_ideal, worst_evidence)
+                        check_lambda, stabilize, test_ideal, worst_evidence)
 from .ideal import (Ideal, ideal_contains, ideal_power, ideal_product,
                     ideal_sum, zero_ideal)
 from .poly import Ring
@@ -93,13 +93,6 @@ class GradedSequence:
     @classmethod
     def from_rule(cls, ring: Ring, rule, name: str = "rule") -> "GradedSequence":
         return cls(ring, "rule", rule=rule, name=name)
-
-    @property
-    def validated_up_to(self) -> int:
-        m = 1
-        while m in self._validated:
-            m += 1
-        return m - 1
 
     def _raw(self, m: int) -> Ideal:
         if m in self._terms:
@@ -199,33 +192,20 @@ def asymptotic_test_ideal(seq: GradedSequence, lam, caps: Caps = DEFAULT_CAPS) -
     m0 = seq.first_nonzero(caps.m_cap)
     if m0 is None:
         raise DomainError(f"no nonzero term up to the chain cap {caps.m_cap}")
-    prev_result = None
-    prev_m = None
-    first_m = None
-    current = None
     evidences = []
-    run = 0
-    m = m0
-    while m <= caps.m_cap:
-        r = test_ideal(seq.term(m), Fraction(lam, m), caps)
-        evidences.append(r.evidence)
-        if prev_result is not None:
-            if not ideal_contains(r.ideal, prev_result.ideal, caps):
-                raise ContractError(f"asymptotic chain failed to ascend at m={m} "
-                                    f"(previous m={prev_m})")
-            if r.ideal == prev_result.ideal:
-                run += 1
-            else:
-                run = 0
-        if prev_result is None or r.ideal != prev_result.ideal:
-            first_m = m
-            current = r.ideal
-        prev_result, prev_m = r, m
-        if run >= caps.window:
-            return TestIdealResult(current, first_m,
-                                   worst_evidence(EVIDENCE_WINDOW, *evidences))
-        m *= 2
-    return TestIdealResult(current, first_m, worst_evidence(EVIDENCE_CAP, *evidences))
+
+    def members():
+        m = m0
+        while m <= caps.m_cap:
+            r = test_ideal(seq.term(m), Fraction(lam, m), caps)
+            evidences.append(r.evidence)
+            yield m, r.ideal
+            m *= 2
+
+    ideal, first_m, stable = stabilize(
+        members(), caps.window, lambda prev, cur: ideal_contains(cur, prev, caps))
+    return TestIdealResult(ideal, first_m, worst_evidence(
+        EVIDENCE_WINDOW if stable else EVIDENCE_CAP, *evidences))
 
 
 # -- executable proposition checks ----------------------------------------------

@@ -13,11 +13,15 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Caps:
-    e_max_monomial: int = 10     # Frobenius-iterate cap, monomial chain
+    e_max_monomial: int = 10     # Frobenius-iterate cap, monomial chain; it stops
+                                 # exactly at the Newton-facet certificate
     e_max_general: int = 5       # Frobenius-iterate cap, general chain
-    window: int = 2              # consecutive equalities certifying stabilization
+    window: int = 2              # consecutive repeats that stop the general,
+                                 # asymptotic, stable-base-locus and sigma chains
     m_cap: int = 64              # divisibility-chain cap for asymptotic chains
-    epsilon_depth: int = 12      # ample-perturbation schedule 1/2^k, k <= depth
+                                 # and stable base loci
+    epsilon_depth: int = 12      # eps = 1/2^k schedules of tau_+ and sigma, k <= depth;
+                                 # tau_+ stops at its first repeat, not at `window`
     gb_pair_cap: int = 20000     # Buchberger S-pair budget
     power_degree_cap: int = 512  # total-degree cap for powers of general ideals
 

@@ -39,18 +39,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise DomainError(f"p must be prime, got {self.p}")
 
-    def normalize(self, c: int) -> int:
-        return c % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in F_p")

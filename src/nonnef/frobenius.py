@@ -236,24 +236,34 @@ def _principal_monomial_closed_form(a: Ideal, lam: Fraction) -> TestIdealResult:
     return TestIdealResult(monomial_ideal(a.ring, [limit]), e, EVIDENCE_CLOSED)
 
 
-def _chain_scan(members, window: int):
-    """Walk an iterator of (e, ideal-key, ideal); return
-    (ideal, first_e, stabilized?) following the equality-window rule."""
-    first_e = None
-    prev_key = None
-    current = None
+def stabilize(members, window: int, order, key=None):
+    """Walk chain members (index, value) and return
+    (value, first_index, stabilized).
+
+    Every "for e >> 0", "for m divisible enough" and "for eps small enough"
+    in the package is read off such a chain.  order(prev, cur) is the
+    theorem that makes the chain monotone; a failure is a ContractError.
+    Members are compared by key(value) when a key is given, else by value.
+    The walk stops once `window` consecutive members equal their
+    predecessor.  The value returned is the first-seen member of the final
+    run and first_index the index where it appeared; an exhausted chain
+    returns its last run with stabilized=False.
+    """
+    value = first = prev = prev_key = prev_index = None
     run = 0
-    for e, key, ideal in members:
-        if prev_key is not None and key == prev_key:
+    for index, cur in members:
+        cur_key = cur if key is None else key(cur)
+        if prev_index is not None and not order(prev, cur):
+            raise ContractError(f"chain order violated between members "
+                                f"{prev_index} and {index}")
+        if prev_index is not None and cur_key == prev_key:
             run += 1
             if run >= window:
-                return current, first_e, True
+                return value, first, True
         else:
-            run = 0
-            first_e = e
-            current = ideal
-            prev_key = key
-    return current, first_e, False
+            run, value, first = 0, cur, index
+        prev, prev_key, prev_index = cur, cur_key, index
+    return value, first, False
 
 
 def _monomial_chain(ring, pairs_with_lambda, caps: Caps) -> TestIdealResult:
@@ -287,7 +297,6 @@ def _general_chain(ring, ideals_with_lambda, caps: Caps) -> TestIdealResult:
     p = ring.field.p
 
     def members():
-        prev = None
         q = 1
         for e in range(1, caps.e_max_general + 1):
             q *= p
@@ -296,16 +305,15 @@ def _general_chain(ring, ideals_with_lambda, caps: Caps) -> TestIdealResult:
                 for a, lam in ideals_with_lambda:
                     power = ideal_product(power, ideal_power(a, ceil_times(lam, q), caps))
             except ResourceLimitError:
-                if prev is None:
+                if e == 1:
                     raise
                 return  # chain truncated by the degree cap: cap-reached below
-            j = frobenius_root(power, FrobeniusContext(ring.field, e), caps)
-            if prev is not None and not ideal_contains(j, prev, caps):
-                raise ContractError(f"test-ideal chain failed to ascend at e={e}")
-            prev = j
-            yield e, _ideal_key_for_chain(j, caps), j
+            yield e, frobenius_root(power, FrobeniusContext(ring.field, e), caps)
 
-    ideal, first_e, stable = _chain_scan(members(), caps.window)
+    # reduced Groebner keys, not Ideal.__eq__, which would add normal forms
+    ideal, first_e, stable = stabilize(
+        members(), caps.window, lambda prev, cur: ideal_contains(cur, prev, caps),
+        key=lambda j: _ideal_key_for_chain(j, caps))
     return TestIdealResult(ideal, first_e, EVIDENCE_WINDOW if stable else EVIDENCE_CAP)
 
 

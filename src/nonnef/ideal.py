@@ -10,7 +10,6 @@ basis for containment questions.
 from __future__ import annotations
 
 import threading
-from itertools import combinations_with_replacement
 
 from .caps import DEFAULT_CAPS
 from .errors import ContractError, DomainError, ResourceLimitError
@@ -190,18 +189,6 @@ def ideal_power(a: Ideal, n: int, caps=DEFAULT_CAPS) -> Ideal:
                     nxt.append(h)
         gens = nxt
     return Ideal(a.ring, gens)
-
-
-def naive_power_products(a: Ideal, n: int):
-    """All n-fold products of generators, no pruning.  Test oracle."""
-    return [prod_all(list(c), a.ring) for c in combinations_with_replacement(a.generators, n)]
-
-
-def prod_all(polys, ring: Ring) -> Polynomial:
-    out = Polynomial.one(ring)
-    for f in polys:
-        out = out * f
-    return out
 
 
 # -- containment ---------------------------------------------------------------

@@ -21,8 +21,9 @@ from .asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_test_id
 from .caps import DEFAULT_CAPS, Caps
 from .errors import ContractError, DomainError
 from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
-                        check_lambda, worst_evidence)
+                        check_lambda, stabilize, worst_evidence)
 from .ideal import Ideal, ideal_contains, monomial_ideal, zero_ideal
+from .newton import _orthogonal_normal
 from .poly import min_antichain, ring
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
@@ -119,7 +120,7 @@ class Fan:
                 raise ContractError(f"completeness failure: facet {facet} lies in "
                                     f"{len(owners)} maximal cones (want 2)")
             # the two remaining rays must sit strictly on opposite sides
-            normal = self._facet_normal(facet)
+            normal = _orthogonal_normal([self.rays[i] for i in facet], n)
             sides = []
             for ci in owners:
                 (extra,) = [i for i in self.max_cones[ci] if i not in facet]
@@ -151,16 +152,6 @@ class Fan:
                     frontier.append(d)
         if len(seen) != len(self.max_cones):
             raise ContractError("completeness failure: fan support is disconnected")
-
-    def _facet_normal(self, facet):
-        vecs = [self.rays[i] for i in facet]
-        if self.dim == 2:
-            (r,) = vecs
-            return (-r[1], r[0])
-        a, b = vecs
-        return (a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0])
 
     def _find_ample(self):
         """An integral ample divisor found by the strict-convexity LP; its
@@ -592,9 +583,9 @@ def sigma(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
           ample: ToricDivisor = None, caps: Caps = DEFAULT_CAPS) -> SigmaResult:
     """sigma_Z(D) = lim of ord_Z(||D + eps*A||) for eps -> 0 along 1/2^k.
 
-    The LP value is piecewise linear and convex in eps, so four consecutive
-    collinear samples pin the final linear piece and the limit at 0 is its
-    exact extrapolation."""
+    The LP value is piecewise linear and convex in eps, so caps.window + 2
+    consecutive collinear samples (four by default) pin the final linear
+    piece and the limit at 0 is its exact extrapolation."""
     cls = classify_divisor(fan, d)
     if not cls.pseudo_effective:
         raise DomainError("sigma is undefined: divisor is not pseudo-effective "
@@ -608,21 +599,26 @@ def sigma(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
 def _sigma_samples(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
                    a: ToricDivisor, caps: Caps) -> SigmaResult:
     samples = []
-    eps = Fraction(1, 2)
-    for _ in range(caps.epsilon_depth):
-        val = asymptotic_ord_toric(fan, d + a.scale(eps), sub)
-        if samples and val < samples[-1][1]:
-            raise ContractError("ord must not decrease as the ample part shrinks")
-        samples.append((eps, val))
-        if len(samples) >= 4:
-            (e1, f1), (e2, f2), (e3, f3), (e4, f4) = samples[-4:]
-            s1 = (f2 - f1) / (e2 - e1)
-            s2 = (f3 - f2) / (e3 - e2)
-            s3 = (f4 - f3) / (e4 - e3)
-            if s1 == s2 == s3:
-                return SigmaResult(f4 - s3 * e4, tuple(samples), EVIDENCE_WINDOW)
-        eps /= 2
-    return SigmaResult(None, tuple(samples), EVIDENCE_CAP)
+
+    def lines():
+        # the line (slope, intercept) through each pair of consecutive samples
+        eps = Fraction(1, 2)
+        for k in range(caps.epsilon_depth):
+            val = asymptotic_ord_toric(fan, d + a.scale(eps), sub)
+            if samples and val < samples[-1][1]:
+                raise ContractError("ord must not decrease as the ample part shrinks")
+            samples.append((eps, val))
+            if k:
+                (e1, f1), (e2, f2) = samples[-2:]
+                slope = (f2 - f1) / (e2 - e1)
+                yield k, (slope, f2 - slope * e2)
+            eps /= 2
+
+    # the value is convex in eps, so slopes cannot increase as eps shrinks
+    line, _, stable = stabilize(lines(), caps.window, lambda prev, cur: cur[0] <= prev[0])
+    if not stable:
+        return SigmaResult(None, tuple(samples), EVIDENCE_CAP)
+    return SigmaResult(line[1], tuple(samples), EVIDENCE_WINDOW)
 
 
 # -- stable base loci ----------------------------------------------------------------
@@ -631,7 +627,7 @@ def _sigma_samples(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
 class StableBaseLocusReport:
     members: tuple          # invariant subvarieties in B(D)
     levels: tuple           # levels inspected
-    certified: bool         # the member set stabilized twice
+    certified: bool         # caps.window consecutive levels repeated the member set
     everything: bool        # no nonempty |mD| found up to the cap: B(D) = X
 
 
@@ -639,43 +635,38 @@ def stable_base_locus(fan: Fan, d: ToricDivisor, caps: Caps = DEFAULT_CAPS,
                       p: int = 2) -> StableBaseLocusReport:
     """B(D) among invariant subvarieties: Z is a member when every section
     of |level*D| vanishes along Z, for level running over the divisibility
-    chain until the member set stabilizes twice.
+    chain until caps.window consecutive levels repeat the member set.
 
     Membership is a lattice-emptiness question on the face of the section
     polytope where the chart coordinates of Z vanish; no staircase is
     materialized."""
     subs = fan.invariant_subvarieties()
     r = d.denominator
-    level = r
     levels = []
-    prev = None
-    stable_runs = 0
-    members = None
     any_nonempty = False
-    while level <= r * caps.m_cap:
-        levels.append(level)
-        current = set()
-        first_cone = fan.max_cones[0]
-        if not _lattice_feasible(_chart_system(fan, d, level, first_cone), fan.dim):
-            current = set(subs)   # empty linear system: everything is base locus
-        else:
-            any_nonempty = True
-            for sub in subs:
-                cone = fan.chart_for(sub)
-                positions = tuple(cone.index(i) for i in sub.rays)
-                if not _face_has_section(fan, d, level, cone, positions):
-                    current.add(sub)
-        if prev is not None:
-            if not current <= prev:
-                raise ContractError("base loci must shrink along the divisibility chain")
-            stable_runs = stable_runs + 1 if current == prev else 0
-        prev, members = current, current
-        if stable_runs >= 2:
-            return StableBaseLocusReport(_sorted_subs(members), tuple(levels),
-                                         True, not any_nonempty)
-        level *= 2
-    return StableBaseLocusReport(_sorted_subs(members if members is not None else set()),
-                                 tuple(levels), False, not any_nonempty)
+
+    def loci():
+        nonlocal any_nonempty
+        level = r
+        while level <= r * caps.m_cap:
+            levels.append(level)
+            if not _lattice_feasible(_chart_system(fan, d, level, fan.max_cones[0]),
+                                     fan.dim):
+                yield level, set(subs)   # empty linear system: everything is base locus
+            else:
+                any_nonempty = True
+                current = set()
+                for sub in subs:
+                    cone = fan.chart_for(sub)
+                    positions = tuple(cone.index(i) for i in sub.rays)
+                    if not _face_has_section(fan, d, level, cone, positions):
+                        current.add(sub)
+                yield level, current
+            level *= 2
+
+    locus, _, stable = stabilize(loci(), caps.window, lambda prev, cur: cur <= prev)
+    return StableBaseLocusReport(_sorted_subs(locus or ()), tuple(levels),
+                                 stable, not any_nonempty)
 
 
 def _sorted_subs(subs):
@@ -721,27 +712,27 @@ def tau_plus_toric(fan: Fan, d: ToricDivisor, lam, cone,
     a = ample if ample is not None else fan.ample
     if ample is not None and not classify_divisor(fan, a).ample:
         raise DomainError("perturbation divisor must be ample")
-    prev = None
     evidences = []
-    eps = Fraction(1, 2)
-    for k in range(1, caps.epsilon_depth + 1):
-        try:
-            r = tau_toric(fan, d + a.scale(eps), lam, cone, p, caps)
-        except DomainError:
-            if prev is None:
-                raise
-            break  # chain cap exceeded at this depth: report what we have
-        evidences.append(r.evidence)
-        if prev is not None:
-            if not ideal_contains(prev[1].ideal, r.ideal, caps):
-                raise ContractError("tau_+ chain must descend as eps shrinks")
-            if r.ideal == prev[1].ideal:
-                return TestIdealResult(r.ideal, k,
-                                       worst_evidence(EVIDENCE_WINDOW, *evidences))
-        prev = (k, r)
-        eps /= 2
-    return TestIdealResult(prev[1].ideal, prev[0],
-                           worst_evidence(EVIDENCE_CAP, *evidences))
+
+    def members():
+        eps = Fraction(1, 2)
+        for k in range(1, caps.epsilon_depth + 1):
+            perturbed = d + a.scale(eps)
+            # past the first eps, a perturbation with no nonzero term up to
+            # m_cap ends the schedule; the first one raises in tau_toric
+            if k > 1 and fan.sequence(perturbed, cone, p).first_nonzero(caps.m_cap) is None:
+                return
+            r = tau_toric(fan, perturbed, lam, cone, p, caps)
+            evidences.append(r.evidence)
+            yield k, r.ideal
+            eps /= 2
+
+    # stop at the first repeat (window 1): honouring caps.window here would
+    # run one more asymptotic chain per call
+    ideal, first_k, stable = stabilize(
+        members(), 1, lambda prev, cur: ideal_contains(prev, cur, caps))
+    return TestIdealResult(ideal, first_k, worst_evidence(
+        EVIDENCE_WINDOW if stable else EVIDENCE_CAP, *evidences))
 
 
 # -- the non-nef locus ----------------------------------------------------------------

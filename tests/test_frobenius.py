@@ -1,17 +1,18 @@
 """Frobenius powers/roots, test ideals, jumping numbers, the ceil identity."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from nonnef import (Caps, DomainError, FrobeniusContext,
+from nonnef import (Caps, ContractError, DomainError, FrobeniusContext,
                     ceil_split, f_jumping_numbers, frobenius_power,
                     frobenius_root, ideal_contains, ideal_power, ideal_product,
                     mixed_test_ideal, monomial_ideal, parse_ideal, ring,
                     unit_ideal, zero_ideal)
 from nonnef.field import PrimeField
-from nonnef.frobenius import monomial_root_of_power
+from nonnef.frobenius import monomial_root_of_power, stabilize
 from nonnef.frobenius import test_ideal as tau
 from oracles import (naive_monomial_power_root, naive_product_power_root,
                      naive_test_ideal_chain, oneshot_q_root)
@@ -151,6 +152,26 @@ class TestFusedRootOfPower:
             n, e = rng.randrange(0, 9), rng.randrange(1, 3)
             assert monomial_root_of_power(amb3, ((gens, n),), e, 2) \
                 == naive_monomial_power_root(gens, n, 2 ** e)
+
+
+class TestStabilize:
+    def test_returns_first_seen_member_of_the_final_run(self):
+        members = [(1, "a"), (2, "bb"), (3, "BB"), (4, "Bb"), (5, "c")]
+        assert stabilize(members, 2, lambda prev, cur: True, key=str.lower) == ("bb", 2, True)
+
+    def test_stops_without_drawing_another_member(self):
+        def members():
+            yield from [(1, 0), (2, 0)]
+            raise AssertionError("drew a member past the window")
+        assert stabilize(members(), 1, operator.le) == (0, 1, True)
+
+    def test_exhausted_chain_is_not_stable(self):
+        assert stabilize([(1, 1), (2, 2), (3, 2)], 2, operator.le) == (2, 2, False)
+        assert stabilize([], 2, operator.le) == (None, None, False)
+
+    def test_order_violation_is_contract_error(self):
+        with pytest.raises(ContractError, match="members 1 and 2"):
+            stabilize([(1, 2), (2, 1)], 2, operator.le)
 
 
 class TestTestIdeal:

@@ -6,7 +6,7 @@ from math import inf
 
 import pytest
 
-from nonnef import ContractError, DomainError
+from nonnef import Caps, ContractError, DomainError
 from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor,
                           asymptotic_ord_toric, base_locus_ord, blowup_lab,
                           build_fan, builtin_fan, chart_ideal, classify_divisor,
@@ -118,6 +118,12 @@ class TestWorkedExample:
         assert set(rep.members) == {InvariantSubvariety((3,)),
                                     InvariantSubvariety((0, 3)),
                                     InvariantSubvariety((1, 3))}
+
+    def test_stable_base_locus_honours_window(self):
+        default = stable_base_locus(self.fan, self.d)
+        wider = stable_base_locus(self.fan, self.d, Caps(window=3))
+        assert wider.levels == default.levels + (2 * default.levels[-1],)
+        assert wider.members == default.members and wider.certified
 
     def test_exceptional_divisor_base_locus(self):
         rep = stable_base_locus(self.fan, self.e)
@@ -320,6 +326,23 @@ class TestTauPlusEdges:
     def test_not_psef_rejected(self):
         with pytest.raises(DomainError, match="pseudo-effective"):
             tau_plus_toric(builtin_fan("p2"), divisor(-1, 0, 0), 1, (0, 1))
+
+    def test_stabilization_index_is_first_appearance(self):
+        fan, ph, e = blowup_lab()
+        r = tau_plus_toric(fan, ph + e, 2, (0, 3))
+        assert r.stabilization_e == 1 and r.evidence == "window-stable"
+
+    def test_schedule_ends_where_m_cap_has_no_term(self):
+        # eps = 1/4 first gives a nonzero term at level 4 > m_cap
+        fan, ph, e = blowup_lab()
+        r = tau_plus_toric(fan, ph + e, 2, (0, 3), caps=Caps(m_cap=2))
+        assert r.evidence == "cap-reached" and r.stabilization_e == 1
+        assert r.ideal.monomials == frozenset({(0, 1)})
+
+    def test_first_perturbation_without_terms_raises(self):
+        fan, ph, e = blowup_lab()
+        with pytest.raises(DomainError, match="no nonzero term"):
+            tau_plus_toric(fan, ph + e, 2, (0, 3), caps=Caps(m_cap=1))
 
 
 class TestThreeDimensional:
