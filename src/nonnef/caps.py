@@ -2,13 +2,16 @@
 
 Every "for e >> 0" / "for m divisible enough" quantifier in the theory
 becomes a user-visible budget here.  Results that hit a cap are returned
-with evidence='cap-reached' instead of being silently wrong.
+with evidence='cap-reached' instead of being silently wrong.  Every budget
+is a positive integer; anything else is a DomainError naming the field.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,13 @@ class Caps:
                                  # tau_+ stops at its first repeat, not at `window`
     gb_pair_cap: int = 20000     # Buchberger S-pair budget
     power_degree_cap: int = 512  # total-degree cap for powers of general ideals
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 1:
+                raise DomainError(f"cap {f.name} must be a positive integer, "
+                                  f"got {value!r}")
 
     def with_overrides(self, **kw) -> "Caps":
         return replace(self, **kw)
@@ -49,5 +59,8 @@ def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
     for var, field in ENV_VARS.items():
         raw = os.environ.get(var)
         if raw is not None:
-            overrides[field] = int(raw)
+            try:
+                overrides[field] = int(raw)
+            except ValueError:
+                raise DomainError(f"{var} must be an integer, got {raw!r}") from None
     return base.with_overrides(**overrides) if overrides else base

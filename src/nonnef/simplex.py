@@ -5,6 +5,12 @@ columns, and both phases pivot under Bland's rule (smallest eligible
 index), which guarantees termination without any tolerance.  Problem sizes
 here are tiny (section polytopes of fans with at most a handful of rays),
 so the tableau recomputes reduced costs on every pivot for simplicity.
+
+Phase 1 depends only on the constraints.  A `Polytope` runs it once and
+answers every later objective by phase 2 from a copy of its basis, so a
+caller that asks many questions of one polytope (the order LPs of every
+invariant subvariety on one section polytope) pays for phase 1 once; the
+value and the point equal those of a fresh `solve_lp`.
 """
 
 from __future__ import annotations
@@ -67,64 +73,78 @@ def _run_simplex(rows, rhs, basis, cost):
         _pivot(rows, rhs, basis, leaving, entering)
 
 
-def solve_lp(objective, constraints, n, maximize=False) -> LPResult:
-    """Optimize objective . x over {x in Q^n : a_i . x >= b_i for all i}.
+class Polytope:
+    """The rational polyhedron {x in Q^n : a_i . x >= b_i for all i}, with
+    phase 1 already run.
 
-    constraints: iterable of (coefficient sequence, rhs).  Exact throughout;
-    the point returned attains the optimum.
+    constraints: iterable of (coefficient sequence, rhs).  Phase 1 depends
+    only on the constraints, so it runs once here; every `minimize` call
+    starts phase 2 from a copy of the resulting basis.
     """
-    objective = [Fraction(c) for c in objective]
-    if maximize:
-        objective = [-c for c in objective]
-    cons = [([Fraction(c) for c in a], Fraction(b)) for a, b in constraints]
-    m = len(cons)
-    width = 2 * n + m          # x+ columns, x- columns, surplus columns
-    rows, rhs = [], []
-    for i, (a, b) in enumerate(cons):
-        row = [Fraction(0)] * width
-        for j in range(n):
-            row[j] = a[j]
-            row[n + j] = -a[j]
-        row[2 * n + i] = Fraction(-1)
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
 
-    # phase 1: artificial basis
-    total = width + m
-    for i in range(m):
-        rows[i] = rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-    basis = list(range(width, width + m))
-    cost1 = [Fraction(0)] * width + [Fraction(1)] * m
-    if _run_simplex(rows, rhs, basis, cost1) != OPTIMAL:
-        raise ContractError("phase-1 objective cannot be unbounded")
-    if sum(rhs[i] for i in range(m) if basis[i] >= width) > 0:
-        return LPResult(INFEASIBLE)
-    # drive lingering artificials out of the basis
-    for i in range(m):
-        if basis[i] >= width:
-            c = next((j for j in range(width) if rows[i][j] != 0), None)
-            if c is not None:
-                _pivot(rows, rhs, basis, i, c)
-    keep = [i for i in range(m) if basis[i] < width]
-    rows = [rows[i][:width] for i in keep]
-    rhs = [rhs[i] for i in keep]
-    basis = [basis[i] for i in keep]
+    def __init__(self, constraints, n):
+        self.n = n
+        cons = [([Fraction(c) for c in a], Fraction(b)) for a, b in constraints]
+        m = len(cons)
+        width = 2 * n + m          # x+ columns, x- columns, surplus columns
+        rows, rhs = [], []
+        for i, (a, b) in enumerate(cons):
+            row = [Fraction(0)] * width
+            for j in range(n):
+                row[j] = a[j]
+                row[n + j] = -a[j]
+            row[2 * n + i] = Fraction(-1)
+            if b < 0:
+                row = [-v for v in row]
+                b = -b
+            rows.append(row)
+            rhs.append(b)
 
-    cost2 = objective + [-c for c in objective] + [Fraction(0)] * m
-    status = _run_simplex(rows, rhs, basis, cost2)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED)
-    values = {b: rhs[i] for i, b in enumerate(basis)}
-    x = tuple(values.get(j, Fraction(0)) - values.get(n + j, Fraction(0))
-              for j in range(n))
-    val = sum(c * v for c, v in zip(objective, x))
-    return LPResult(OPTIMAL, -val if maximize else val, x)
+        # phase 1: artificial basis
+        for i in range(m):
+            rows[i] = rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        basis = list(range(width, width + m))
+        cost1 = [Fraction(0)] * width + [Fraction(1)] * m
+        if _run_simplex(rows, rhs, basis, cost1) != OPTIMAL:
+            raise ContractError("phase-1 objective cannot be unbounded")
+        self.feasible = sum(rhs[i] for i in range(m) if basis[i] >= width) == 0
+        if not self.feasible:
+            return
+        # drive lingering artificials out of the basis
+        for i in range(m):
+            if basis[i] >= width:
+                c = next((j for j in range(width) if rows[i][j] != 0), None)
+                if c is not None:
+                    _pivot(rows, rhs, basis, i, c)
+        keep = [i for i in range(m) if basis[i] < width]
+        self._rows = [rows[i][:width] for i in keep]
+        self._rhs = [rhs[i] for i in keep]
+        self._basis = [basis[i] for i in keep]
+        self._surplus = m
+
+    def minimize(self, objective) -> LPResult:
+        """Minimize objective . x by phase 2 under Bland's rule.  Exact
+        throughout; the point returned attains the optimum."""
+        if not self.feasible:
+            return LPResult(INFEASIBLE)
+        n = self.n
+        objective = [Fraction(c) for c in objective]
+        rows = [list(r) for r in self._rows]
+        rhs = list(self._rhs)
+        basis = list(self._basis)
+        cost2 = objective + [-c for c in objective] + [Fraction(0)] * self._surplus
+        if _run_simplex(rows, rhs, basis, cost2) == UNBOUNDED:
+            return LPResult(UNBOUNDED)
+        values = {b: rhs[i] for i, b in enumerate(basis)}
+        x = tuple(values.get(j, Fraction(0)) - values.get(n + j, Fraction(0))
+                  for j in range(n))
+        return LPResult(OPTIMAL, sum(c * v for c, v in zip(objective, x)), x)
 
 
-def feasible_point(constraints, n):
-    """A rational point satisfying a_i . x >= b_i for all i, or None."""
-    res = solve_lp([0] * n, constraints, n)
-    return res.point if res.status == OPTIMAL else None
+def solve_lp(objective, constraints, n, maximize=False) -> LPResult:
+    """Optimize objective . x over {x in Q^n : a_i . x >= b_i for all i}:
+    one phase 1 and one phase 2.  Exact throughout; the point returned
+    attains the optimum."""
+    sign = -1 if maximize else 1
+    res = Polytope(constraints, n).minimize([sign * Fraction(c) for c in objective])
+    return res if res.status != OPTIMAL else LPResult(OPTIMAL, sign * res.value, res.point)

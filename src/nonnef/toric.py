@@ -25,7 +25,7 @@ from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
 from .ideal import Ideal, ideal_contains, monomial_ideal, zero_ideal
 from .newton import _orthogonal_normal
 from .poly import min_antichain, ring
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Polytope, solve_lp
 
 
 def _det(rows):
@@ -377,8 +377,7 @@ def classify_divisor(fan: Fan, d: ToricDivisor) -> Classification:
             break
     cons = fan.polytope_constraints(d)
     n = fan.dim
-    feas = solve_lp([0] * n, cons, n)
-    effective = feas.status == OPTIMAL
+    effective = Polytope(cons, n).feasible
     # big: the section polytope has positive inradius in the l_inf sense
     big_cons = [(tuple(a) + (-1,), b) for a, b in cons]
     big_res = solve_lp([0] * n + [-1], big_cons, n + 1)
@@ -557,14 +556,19 @@ def base_locus_ord(fan: Fan, d: ToricDivisor, level: int, sub: InvariantSubvarie
 def asymptotic_ord_toric(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety) -> Fraction:
     """ord_Z(||D||) as the exact LP minimum of sum_{i in Z} (<u, v_i> + d_i)
     over the rational section polytope."""
-    cons = fan.polytope_constraints(d)
+    return _order_lp(fan, d, Polytope(fan.polytope_constraints(d), fan.dim), sub)
+
+
+def _order_lp(fan: Fan, d: ToricDivisor, section: Polytope,
+              sub: InvariantSubvariety) -> Fraction:
+    """asymptotic_ord_toric on `section`, the already built P_D."""
     objective = [Fraction(0)] * fan.dim
     const = Fraction(0)
     for i in sub.rays:
         for k in range(fan.dim):
             objective[k] += fan.rays[i][k]
         const += d.coefficients[i]
-    res = solve_lp(objective, cons, fan.dim)
+    res = section.minimize(objective)
     if res.status == INFEASIBLE:
         raise DomainError("no pluri-sections: the section polytope is empty")
     if res.status != OPTIMAL:
@@ -590,21 +594,34 @@ def sigma(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
     if not cls.pseudo_effective:
         raise DomainError("sigma is undefined: divisor is not pseudo-effective "
                           "(the non-nef locus is everything)")
-    a = ample if ample is not None else fan.ample
-    if ample is not None and not classify_divisor(fan, a).ample:
+    return _sigma_samples(fan, d, sub, _perturbation(fan, ample), caps, {})
+
+
+def _perturbation(fan: Fan, ample) -> ToricDivisor:
+    """The perturbation divisor A: the fan's own ample divisor by default,
+    else `ample` once it passes the ample check."""
+    if ample is None:
+        return fan.ample
+    if not classify_divisor(fan, ample).ample:
         raise DomainError("perturbation divisor must be ample")
-    return _sigma_samples(fan, d, sub, a, caps)
+    return ample
 
 
 def _sigma_samples(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
-                   a: ToricDivisor, caps: Caps) -> SigmaResult:
+                   a: ToricDivisor, caps: Caps, sections: dict) -> SigmaResult:
+    """The sigma schedule; `sections` maps eps to the section polytope of
+    D + eps*A and is filled on demand, so callers that sample many
+    subvarieties of one D share every phase 1."""
     samples = []
 
     def lines():
         # the line (slope, intercept) through each pair of consecutive samples
         eps = Fraction(1, 2)
         for k in range(caps.epsilon_depth):
-            val = asymptotic_ord_toric(fan, d + a.scale(eps), sub)
+            perturbed = d + a.scale(eps)
+            if eps not in sections:
+                sections[eps] = Polytope(fan.polytope_constraints(perturbed), fan.dim)
+            val = _order_lp(fan, perturbed, sections[eps], sub)
             if samples and val < samples[-1][1]:
                 raise ContractError("ord must not decrease as the ample part shrinks")
             samples.append((eps, val))
@@ -706,12 +723,14 @@ def tau_plus_toric(fan: Fan, d: ToricDivisor, lam, cone,
     """tau_+(lam * ||D||): the minimal chart test ideal among small ample
     perturbations, computed along eps = 1/2^k until two consecutive agree."""
     lam = check_lambda(lam)
-    cls = classify_divisor(fan, d)
-    if not cls.pseudo_effective:
+    if not classify_divisor(fan, d).pseudo_effective:
         raise DomainError("tau_+ needs a pseudo-effective divisor")
-    a = ample if ample is not None else fan.ample
-    if ample is not None and not classify_divisor(fan, a).ample:
-        raise DomainError("perturbation divisor must be ample")
+    return _tau_plus(fan, d, lam, cone, _perturbation(fan, ample), p, caps)
+
+
+def _tau_plus(fan: Fan, d: ToricDivisor, lam, cone, a: ToricDivisor, p: int,
+              caps: Caps) -> TestIdealResult:
+    """tau_plus_toric for a pseudo-effective D and a checked ample A."""
     evidences = []
 
     def members():
@@ -774,10 +793,10 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
 
     Disagreement raises: the three characterizations are theorems, so a
     mismatch is an implementation bug, not data."""
+    a = _perturbation(fan, ample)
     cls = classify_divisor(fan, d)
     if not cls.pseudo_effective:
         return NonNefReport(d, "not-pseudo-effective", (), (), (), True)
-    a = ample if ample is not None else fan.ample
     subs = fan.invariant_subvarieties()
 
     # method 2 once per chart: tau ideals at integer exponents
@@ -790,7 +809,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
             if cls.big:
                 r = tau_toric(fan, d, m, cone, p, caps)
             else:
-                r = tau_plus_toric(fan, d, m, cone, a, p, caps)
+                r = _tau_plus(fan, d, m, cone, a, p, caps)
             evidences.append(r.evidence)
             ideals.append(r.ideal)
         tau_by_chart[cone] = ideals
@@ -808,11 +827,13 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
             raise ContractError("perturbed base loci must grow as eps shrinks")
     finest = sbl_members[grid[-1]]
 
+    # method 1: the order LPs of every subvariety share each P_{D + eps*A}
+    sections = {}
     records = []
     members = []
     sigma_of = {}
     for sub in subs:
-        sg = _sigma_samples(fan, d, sub, a, caps)
+        sg = _sigma_samples(fan, d, sub, a, caps, sections)
         if sg.evidence == EVIDENCE_CAP:
             evidences.append(EVIDENCE_CAP)
         lp_member = sg.value is not None and sg.value > 0

@@ -130,6 +130,16 @@ class TestExitCodes:
         payload = json.loads(out)["result"]
         assert code == 0 and payload["evidence"] == "cap-reached"
 
+    @pytest.mark.parametrize("flag, field", [("--e-max-general", "e_max_general"),
+                                             ("--window", "window"),
+                                             ("--epsilon-depth", "epsilon_depth")])
+    def test_non_positive_cap_flag_is_one(self, flag, field):
+        code, out = run_cli(["--json", flag, "0", "tau", "--ideal",
+                             "p=2; vars=x,y; gens=[x+y^2, x*y]", "--lambda", "1"])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert field in payload["error"]
+
     def test_verify_pass_exits_zero(self):
         code, out = run_cli(["--json", "verify", "ceil-identity", "--budget", "500"])
         assert code == 0
@@ -173,6 +183,19 @@ class TestEnvOverrides:
         code, out = run_cli(["--json", "tau", "--ideal",
                              "p=2; vars=x,y; gens=[x, y]", "--lambda", "9/5"])
         assert json.loads(out)["result"]["evidence"] == "cap-reached"
+
+    def test_zero_env_cap_is_domain_error(self, monkeypatch):
+        monkeypatch.setenv("NONNEF_M_CAP", "0")
+        code, out = run_cli(["--json", "sbl", "--fan", "builtin:p2", "--divisor", "1,0,0"])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert "m_cap" in payload["error"]
+
+    def test_non_integer_env_cap_is_domain_error(self, monkeypatch):
+        monkeypatch.setenv("NONNEF_WINDOW", "two")
+        code, out = run_cli(["--json", "tau", "--ideal", "p=2; vars=x; gens=[x]",
+                             "--lambda", "1"])
+        assert code == 1 and "NONNEF_WINDOW" in json.loads(out)["result"]["error"]
 
     def test_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("NONNEF_E_MAX_MONOMIAL", "2")

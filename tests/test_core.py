@@ -1,4 +1,4 @@
-"""Polynomials, ideals, Groebner bases, the text grammar."""
+"""Polynomials, ideals, Groebner bases, the text grammar, computation caps."""
 
 import random
 
@@ -7,6 +7,7 @@ import pytest
 from nonnef import (ContractError, DomainError, groebner_basis, ideal_contains,
                     ideal_equal, ideal_power, ideal_product, monomial_ideal,
                     parse_ideal, parse_poly, ring, unit_ideal, zero_ideal)
+from nonnef.caps import DEFAULT_CAPS, ENV_VARS, Caps, caps_from_env
 from nonnef.poly import Polynomial, grevlex_key, min_antichain
 
 R2 = ring(2, "x", "y")
@@ -224,3 +225,22 @@ class TestGroebnerCacheValidation:
         a = I("p=3; vars=x,y; gens=[x^2 + y, y]")
         b = I("p=3; vars=x,y; gens=[y, x^2]")
         assert a == b and hash(a) == hash(b)
+
+
+class TestCaps:
+    @pytest.mark.parametrize("field", sorted(ENV_VARS.values()))
+    @pytest.mark.parametrize("value", [0, -1, 2.0])
+    def test_every_field_must_be_a_positive_integer(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            Caps(**{field: value})
+        with pytest.raises(DomainError, match=field):
+            DEFAULT_CAPS.with_overrides(**{field: value})
+
+    def test_one_is_accepted(self):
+        caps = Caps(**{field: 1 for field in ENV_VARS.values()})
+        assert caps.window == caps.epsilon_depth == 1
+
+    def test_env_zero_names_the_field(self, monkeypatch):
+        monkeypatch.setenv("NONNEF_EPSILON_DEPTH", "0")
+        with pytest.raises(DomainError, match="epsilon_depth"):
+            caps_from_env()

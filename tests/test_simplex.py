@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from nonnef.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_point, solve_lp
+from nonnef.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, Polytope, solve_lp
 from oracles import lp_min_by_vertices
 
 
@@ -17,7 +17,7 @@ def test_triangle_minimum():
 def test_infeasible():
     cons = [((1,), 1), ((-1,), 0)]  # x >= 1 and x <= 0
     assert solve_lp((1,), cons, 1).status == INFEASIBLE
-    assert feasible_point(cons, 1) is None
+    assert Polytope(cons, 1).feasible is False
 
 
 def test_unbounded():
@@ -43,9 +43,10 @@ def test_free_variables_negative_optimum():
     assert res.value == -7 and res.point == (-3, -4)
 
 
-def test_random_bounded_lps_match_vertex_oracle():
-    rng = random.Random(97)
-    for _ in range(120):
+def _random_bounded_lps(seed, count):
+    """(constraints, n, rng) for `count` random LPs inside the box |x_j| <= 8."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.choice([2, 3])
         cons = [tuple(([rng.randrange(-3, 4) for _ in range(n)], rng.randrange(-5, 6)))
                 for _ in range(rng.randrange(n + 1, n + 5))]
@@ -57,11 +58,20 @@ def test_random_bounded_lps_match_vertex_oracle():
             hi = [0] * n
             hi[j] = -1
             cons.append((hi, -8))
+        yield cons, n, rng
+
+
+def _oracle_min(obj, cons, n):
+    return lp_min_by_vertices(
+        [Fraction(c) for c in obj],
+        [([Fraction(c) for c in a], Fraction(b)) for a, b in cons], n)[0]
+
+
+def test_random_bounded_lps_match_vertex_oracle():
+    for cons, n, rng in _random_bounded_lps(97, 120):
         obj = [rng.randrange(-3, 4) for _ in range(n)]
         res = solve_lp(obj, cons, n)
-        oracle_val, _ = lp_min_by_vertices(
-            [Fraction(c) for c in obj],
-            [([Fraction(c) for c in a], Fraction(b)) for a, b in cons], n)
+        oracle_val = _oracle_min(obj, cons, n)
         if res.status == INFEASIBLE:
             assert oracle_val is None
         else:
@@ -69,3 +79,36 @@ def test_random_bounded_lps_match_vertex_oracle():
             assert res.value == oracle_val
             point_ok = all(sum(c * v for c, v in zip(a, res.point)) >= b for a, b in cons)
             assert point_ok
+
+
+def test_one_polytope_answers_every_objective_like_solve_lp():
+    feasible = 0
+    for cons, n, rng in _random_bounded_lps(97, 120):
+        poly = Polytope(cons, n)
+        feasible += poly.feasible
+        for _ in range(4):
+            obj = [rng.randrange(-3, 4) for _ in range(n)]
+            res = poly.minimize(obj)
+            assert res == solve_lp(obj, cons, n)
+            oracle_val = _oracle_min(obj, cons, n)
+            if res.status == INFEASIBLE:
+                assert oracle_val is None and not poly.feasible
+            else:
+                assert res.status == OPTIMAL and res.value == oracle_val
+    assert 0 < feasible < 120
+
+
+def test_infeasible_polytope_answers_infeasible_for_every_objective():
+    poly = Polytope([((1, 1), 3), ((-1, 0), 0), ((0, -1), -1)], 2)  # x <= 0, y <= 1
+    assert not poly.feasible
+    for obj in ((0, 0), (1, 0), (-1, 2), (3, -5)):
+        assert poly.minimize(obj) == LPResult(INFEASIBLE)
+
+
+def test_minimize_leaves_the_polytope_reusable():
+    cons = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -2)]
+    poly = Polytope(cons, 2)
+    first = poly.minimize((-1, 0))
+    assert poly.minimize((0, -1)).value == -2
+    assert poly.minimize((-1, 0)) == first == LPResult(OPTIMAL, -2, (2, 0))
+    assert solve_lp((1, 1), cons, 2, maximize=True).value == 2

@@ -12,6 +12,7 @@ from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor,
                           build_fan, builtin_fan, chart_ideal, classify_divisor,
                           divisor, non_nef_locus, sigma, stable_base_locus,
                           tau_plus_toric, tau_toric)
+from nonnef.simplex import Polytope
 from oracles import lp_min_by_vertices
 
 E_SUB = InvariantSubvariety((3,))
@@ -254,6 +255,33 @@ class TestNonNef:
                 rep = non_nef_locus(fan, d)  # methods assert agreement internally
                 if rep.status == "nef":
                     assert classify_divisor(fan, d).nef
+
+    @pytest.mark.parametrize("coeffs", [(1, 1, 1), (0, 0, 0), (-1, 0, 0)],
+                             ids=["big", "not-big", "not-psef"])
+    def test_perturbation_divisor_checked_for_every_divisor(self, coeffs):
+        with pytest.raises(DomainError, match="perturbation divisor must be ample"):
+            non_nef_locus(builtin_fan("p2"), divisor(*coeffs), ample=divisor(0, 0, 0))
+
+    def test_explicit_ample_matches_default(self):
+        fan, ph, e = blowup_lab()
+        assert non_nef_locus(fan, ph + e, ample=fan.ample) == non_nef_locus(fan, ph + e)
+
+    @pytest.mark.parametrize("name, coeffs", [("p2", (1, 0, -1)), ("f1", (0, 0, 2, 1)),
+                                              ("p3", (1, 0, 0, 0))])
+    def test_one_phase_one_per_polytope(self, monkeypatch, name, coeffs):
+        fan = builtin_fan(name)   # built first: fan validation runs LPs of its own
+        built = []
+        init = Polytope.__init__
+
+        def counting(self, constraints, n):
+            built.append(n)
+            init(self, constraints, n)
+
+        monkeypatch.setattr(Polytope, "__init__", counting)
+        non_nef_locus(fan, divisor(*coeffs))
+        # three for classifying D, one per sampled eps = 1/2 .. 1/16 shared
+        # by the order LPs of every subvariety
+        assert len(built) == 3 + 4
 
 
 class TestChartIdeals:
