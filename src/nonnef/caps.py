@@ -40,15 +40,7 @@ class Caps:
 
 
 #: Environment variables recognized by :func:`caps_from_env`.
-ENV_VARS = {
-    "NONNEF_E_MAX_MONOMIAL": "e_max_monomial",
-    "NONNEF_E_MAX_GENERAL": "e_max_general",
-    "NONNEF_WINDOW": "window",
-    "NONNEF_M_CAP": "m_cap",
-    "NONNEF_EPSILON_DEPTH": "epsilon_depth",
-    "NONNEF_GB_PAIR_CAP": "gb_pair_cap",
-    "NONNEF_POWER_DEGREE_CAP": "power_degree_cap",
-}
+ENV_VARS = {f"NONNEF_{f.name.upper()}": f.name for f in fields(Caps)}
 
 DEFAULT_CAPS = Caps()
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from math import inf
 
@@ -174,15 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact test ideals over F_p and toric non-nef loci",
         allow_abbrev=False)
     top.add_argument("--json", action="store_true", help="machine-readable output")
-    for flag, field in (("--e-max-monomial", "e_max_monomial"),
-                        ("--e-max-general", "e_max_general"),
-                        ("--window", "window"),
-                        ("--m-cap", "m_cap"),
-                        ("--epsilon-depth", "epsilon_depth"),
-                        ("--gb-pair-cap", "gb_pair_cap"),
-                        ("--power-degree-cap", "power_degree_cap")):
-        top.add_argument(flag, type=int, default=None, dest=field,
-                         help=f"override cap {field}")
+    for f in fields(Caps):
+        top.add_argument("--" + f.name.replace("_", "-"), type=int, default=None,
+                         dest=f.name, help=f"override cap {f.name}")
     sub = top.add_subparsers(dest="verb", required=True)
 
     def cmd(name, **kw):
@@ -264,10 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _caps(args) -> Caps:
     base = caps_from_env()
-    overrides = {f: getattr(args, f) for f in
-                 ("e_max_monomial", "e_max_general", "window", "m_cap",
-                  "epsilon_depth", "gb_pair_cap", "power_degree_cap")
-                 if getattr(args, f) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(Caps)
+                 if getattr(args, f.name) is not None}
     return base.with_overrides(**overrides) if overrides else base
 
 

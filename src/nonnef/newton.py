@@ -17,9 +17,10 @@ superset decides interiority exactly:
 
     u in tau  <=>  <h, u> > sum_i l_i * min_{v in V_i} <h, v> - |h|_1  for all h.
 
-Minimal generators are then read off the integer staircase of these
-inequalities (dimension <= 3 in practice, but the scan below is written
-for any n via recursion on the first coordinate).
+A candidate normal is the vector of signed maximal minors of its n-1
+vectors, so the certificate holds in any number of variables.  Minimal
+generators are then read off the integer staircase of these inequalities,
+scanned by recursion on the first coordinate.
 """
 
 from __future__ import annotations
@@ -40,19 +41,26 @@ def _primitive(v):
     return tuple(c // g for c in v) if g else None
 
 
+def _det(rows):
+    """Determinant of a square integer matrix by cofactor expansion along
+    the first row: n! terms, cheap for the small matrices of fan charts and
+    Newton facet normals."""
+    if not rows:
+        return 1
+    total, sign, rest = 0, 1, rows[1:]
+    for j, a in enumerate(rows[0]):
+        if a:
+            total += sign * a * _det([r[:j] + r[j + 1:] for r in rest])
+        sign = -sign
+    return total
+
+
 def _orthogonal_normal(vectors, n):
-    """A nonzero integer vector orthogonal to the given n-1 vectors, or None."""
-    if n == 1:
-        return (1,)
-    if n == 2:
-        (d,) = vectors
-        return _primitive((-d[1], d[0]))
-    if n == 3:
-        a, b = vectors
-        return _primitive((a[1] * b[2] - a[2] * b[1],
-                           a[2] * b[0] - a[0] * b[2],
-                           a[0] * b[1] - a[1] * b[0]))
-    raise ContractError("Newton certificate implemented for <= 3 variables")
+    """The primitive vector of signed maximal minors of the given n-1
+    integer vectors: orthogonal to each of them, None when they are
+    linearly dependent."""
+    return _primitive(tuple((-1) ** i * _det([v[:i] + v[i + 1:] for v in vectors])
+                            for i in range(n)))
 
 
 @lru_cache(maxsize=None)

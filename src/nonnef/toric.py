@@ -23,53 +23,24 @@ from .errors import ContractError, DomainError
 from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
                         check_lambda, stabilize, worst_evidence)
 from .ideal import Ideal, ideal_contains, monomial_ideal, zero_ideal
-from .newton import _orthogonal_normal
+from .newton import _det, _orthogonal_normal
 from .poly import min_antichain, ring
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Polytope, solve_lp
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows
-        return (a[0] * (b[1] * c[2] - b[2] * c[1])
-                - a[1] * (b[0] * c[2] - b[2] * c[0])
-                + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    raise ContractError("fans of dimension > 3 are out of range")
-
-
-def _inv_unimodular(rows):
-    """Inverse of an integer matrix with determinant +-1 (integer entries)."""
-    n = len(rows)
-    d = _det(rows)
-    if abs(d) != 1:
-        raise ContractError("matrix is not unimodular")
-    if n == 1:
-        return ((d,),)
-    if n == 2:
-        (a, b), (c, e) = rows
-        return ((e * d, -b * d), (-c * d, a * d))
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            sign = 1 if (i + j) % 2 == 0 else -1
-            cof[j][i] = sign * _det(sub) * d
-    return tuple(tuple(r) for r in cof)
-
-
 class Fan:
-    """Validated smooth complete projective fan of dimension <= 3."""
+    """Validated smooth complete projective fan of dimension <= 3.
+
+    Each maximal cone is a chart; `walls(cone)` gives the coordinates of
+    every other ray in the cone's basis, the one table from which the
+    nef/ample test, the ample witness LP and the chart systems are read.
+    The dimension bound comes from the Euler check of `_check_complete`."""
 
     def __init__(self, rays, max_cones):
         self.rays = tuple(tuple(int(c) for c in v) for v in rays)
         self.dim = len(self.rays[0]) if self.rays else 0
         self.max_cones = tuple(tuple(sorted(c)) for c in max_cones)
-        self._chart_inverse = {}
+        self._walls = {}
         self._sequences = {}
         self._ample = None
         self._validate()
@@ -159,18 +130,12 @@ class Fan:
         nrays = len(self.rays)
         cons = []
         for cone in self.max_cones:
-            inv = self.chart_inverse(cone)
-            for j in range(nrays):
-                if j in cone:
-                    continue
-                # <u_sigma(d), v_j> + d_j >= 1 is linear in d
+            for j, c in self.walls(cone):
+                # d_j - c_j . d_sigma >= 1 is linear in d
                 row = [Fraction(0)] * nrays
                 row[j] = Fraction(1)
-                vj = self.rays[j]
-                # u_sigma = inv^T . (-d_sigma) composed with row extraction
-                for pos, i in enumerate(cone):
-                    coeff = -sum(vj[k] * inv[k][pos] for k in range(self.dim))
-                    row[i] += Fraction(coeff)
+                for ck, i in zip(c, cone):
+                    row[i] = Fraction(-ck)
                 cons.append((row, Fraction(1)))
         res = solve_lp([0] * nrays, cons, nrays)
         if res.status != OPTIMAL:
@@ -187,19 +152,20 @@ class Fan:
 
     # -- helpers ----------------------------------------------------------
 
-    def chart_inverse(self, cone):
-        """Inverse of the ray matrix of a maximal cone (columns = duals)."""
+    def walls(self, cone):
+        """(j, c_j) for every ray v_j outside the maximal cone, where c_j are
+        the integer coordinates of v_j in the basis of the cone's rays:
+        v_j = sum_k c_j[k] * v_{cone[k]}.  Cramer's rule is exact here
+        because the cone is unimodular."""
         cone = tuple(sorted(cone))
-        if cone not in self._chart_inverse:
-            self._chart_inverse[cone] = _inv_unimodular([self.rays[i] for i in cone])
-        return self._chart_inverse[cone]
-
-    def support_values(self, divisor, cone):
-        """u_sigma with <u_sigma, v_i> = -d_i on the cone's rays."""
-        inv = self.chart_inverse(cone)
-        d = [divisor.coefficients[i] for i in cone]
-        return tuple(sum(inv[r][c] * -d[c] for c in range(self.dim))
-                     for r in range(self.dim))
+        if cone not in self._walls:
+            basis = [self.rays[i] for i in cone]
+            det = _det(basis)
+            self._walls[cone] = tuple(
+                (j, tuple(_det(basis[:k] + [vj] + basis[k + 1:]) // det
+                          for k in range(self.dim)))
+                for j, vj in enumerate(self.rays) if j not in cone)
+        return self._walls[cone]
 
     @property
     def picard_number(self):
@@ -231,10 +197,9 @@ class Fan:
             self._sequences[key] = toric_sequence(self, d, cone, p)
         return self._sequences[key]
 
-    def polytope_constraints(self, divisor, level=1):
-        """P_{level*D} as rows for the LP layer: <u, v_i> >= -level*d_i."""
-        return [(self.rays[i], -level * divisor.coefficients[i])
-                for i in range(len(self.rays))]
+    def polytope_constraints(self, divisor):
+        """P_D as rows for the LP layer: <u, v_i> >= -d_i."""
+        return [(v, -c) for v, c in zip(self.rays, divisor.coefficients)]
 
     def __repr__(self):
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, cones={len(self.max_cones)})"
@@ -284,6 +249,8 @@ class InvariantSubvariety:
         object.__setattr__(self, "rays", tuple(sorted(self.rays)))
         if not self.rays:
             raise DomainError("invariant subvariety needs at least one ray")
+        if len(set(self.rays)) != len(self.rays):
+            raise DomainError(f"invariant subvariety lists a ray twice: {self.rays}")
 
     @property
     def codim(self) -> int:
@@ -360,18 +327,24 @@ class Classification:
     effective: bool
 
 
-def classify_divisor(fan: Fan, d: ToricDivisor) -> Classification:
+def _check_length(fan: Fan, d: ToricDivisor):
     if len(d.coefficients) != len(fan.rays):
-        raise ContractError("divisor length does not match the ray count")
+        raise DomainError(f"divisor {d} has {len(d.coefficients)} coefficients, "
+                          f"but the fan has {len(fan.rays)} rays")
+
+
+def classify_divisor(fan: Fan, d: ToricDivisor) -> Classification:
+    _check_length(fan, d)
     nef = True
     ample = True
+    coeffs = d.coefficients
     for cone in fan.max_cones:
-        u = fan.support_values(d, cone)
-        for j, vj in enumerate(fan.rays):
-            val = sum(a * b for a, b in zip(u, vj))
-            if val < -d.coefficients[j]:
+        # the slack of ray j over the chart's support function: d_j - c_j . d_sigma
+        for j, c in fan.walls(cone):
+            slack = coeffs[j] - sum(ck * coeffs[i] for ck, i in zip(c, cone))
+            if slack < 0:
                 nef = ample = False
-            elif j not in cone and val == -d.coefficients[j]:
+            elif slack == 0:
                 ample = False
         if not nef:
             break
@@ -494,22 +467,14 @@ def _chart_system(fan: Fan, d: ToricDivisor, level: int, cone):
 
     Chart exponents of a section u are w_i = <u, v_i> + level*d_i over the
     cone's rays; that change of coordinates is unimodular-affine, so
-    lattice points map to lattice points."""
-    if len(d.coefficients) != len(fan.rays):
-        raise ContractError("divisor length does not match the ray count")
+    lattice points map to lattice points.  Each wall (j, c_j) of the cone
+    gives the row w_j = c_j . w - level*(c_j . d_sigma - d_j) >= 0."""
+    _check_length(fan, d)
     if not d.is_integral_at(level):
         raise DomainError(f"{level}*D is not an integral divisor")
-    n = fan.dim
-    inv = fan.chart_inverse(cone)
-    ld = [int(level * d.coefficients[i]) for i in cone]
-    cons = []
-    for j, vj in enumerate(fan.rays):
-        if j in cone:
-            continue
-        coeff = [sum(vj[k] * inv[k][c] for k in range(n)) for c in range(n)]
-        rhs = sum(coeff[c] * ld[c] for c in range(n)) - int(level * d.coefficients[j])
-        cons.append((coeff, rhs))
-    return cons
+    ld = [int(level * c) for c in d.coefficients]
+    return [(c, sum(ck * ld[i] for ck, i in zip(c, cone)) - ld[j])
+            for j, c in fan.walls(cone)]
 
 
 def chart_ideal(fan: Fan, d: ToricDivisor, level: int, cone, p: int = 2) -> Ideal:
@@ -556,6 +521,8 @@ def base_locus_ord(fan: Fan, d: ToricDivisor, level: int, sub: InvariantSubvarie
 def asymptotic_ord_toric(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety) -> Fraction:
     """ord_Z(||D||) as the exact LP minimum of sum_{i in Z} (<u, v_i> + d_i)
     over the rational section polytope."""
+    _check_length(fan, d)
+    fan.chart_for(sub)     # DomainError unless the rays of Z span a cone
     return _order_lp(fan, d, Polytope(fan.polytope_constraints(d), fan.dim), sub)
 
 
@@ -591,6 +558,7 @@ def sigma(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
     consecutive collinear samples (four by default) pin the final linear
     piece and the limit at 0 is its exact extrapolation."""
     cls = classify_divisor(fan, d)
+    fan.chart_for(sub)     # DomainError unless the rays of Z span a cone
     if not cls.pseudo_effective:
         raise DomainError("sigma is undefined: divisor is not pseudo-effective "
                           "(the non-nef locus is everything)")
@@ -648,8 +616,8 @@ class StableBaseLocusReport:
     everything: bool        # no nonempty |mD| found up to the cap: B(D) = X
 
 
-def stable_base_locus(fan: Fan, d: ToricDivisor, caps: Caps = DEFAULT_CAPS,
-                      p: int = 2) -> StableBaseLocusReport:
+def stable_base_locus(fan: Fan, d: ToricDivisor,
+                      caps: Caps = DEFAULT_CAPS) -> StableBaseLocusReport:
     """B(D) among invariant subvarieties: Z is a member when every section
     of |level*D| vanishes along Z, for level running over the divisibility
     chain until caps.window consecutive levels repeat the member set.
@@ -817,7 +785,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     # method 3 once per eps
     sbl_members = {}
     for eps in sorted(eps_grid, reverse=True):
-        rep = stable_base_locus(fan, d + a.scale(eps), caps, p)
+        rep = stable_base_locus(fan, d + a.scale(eps), caps)
         if not rep.certified:
             evidences.append(EVIDENCE_CAP)
         sbl_members[eps] = set(rep.members)

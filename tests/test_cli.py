@@ -140,6 +140,32 @@ class TestExitCodes:
         assert code == 1 and payload["kind"] == "DomainError"
         assert field in payload["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["nonnef", "--fan", "builtin:p2", "--divisor", "1,0"],
+        ["nonnef", "--fan", "builtin:p2", "--divisor", "1,0,0", "--ample", "1,0"],
+        ["sbl", "--fan", "builtin:p2", "--divisor", "1,0"],
+        ["atau", "--seq", "toric builtin:p2 1,0", "--lambda", "1"],
+        ["toric-classify", "--fan", "builtin:p2", "--divisor", "1,0"],
+        ["toric-ord", "--fan", "builtin:p2", "--divisor", "1,0", "--cone", "0"],
+        ["toric-ord", "--fan", "builtin:p2", "--divisor", "1,0,0,5", "--cone", "0"],
+        ["sigma", "--fan", "builtin:p2", "--divisor", "1,0", "--cone", "0"],
+        ["tau-plus", "--fan", "builtin:p2", "--divisor", "1,0", "--lambda", "1",
+         "--chart", "0,1"],
+    ])
+    def test_wrong_length_divisor_is_domain_error(self, argv):
+        code, out = run_cli(["--json"] + argv)
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert "coefficients" in payload["error"]
+
+    @pytest.mark.parametrize("verb", ["toric-ord", "sigma"])
+    @pytest.mark.parametrize("cone", ["7", "-1", "0,0", "0,1,2"])
+    def test_invalid_subvariety_is_domain_error(self, verb, cone):
+        code, out = run_cli(["--json", verb, "--fan", "builtin:p2", "--divisor", "1,0,0",
+                             "--cone", cone])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+
     def test_verify_pass_exits_zero(self):
         code, out = run_cli(["--json", "verify", "ceil-identity", "--budget", "500"])
         assert code == 0

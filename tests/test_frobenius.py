@@ -360,6 +360,37 @@ class TestNewtonCertificate:
             assert r.ideal.monomials == deep, (sorted(gens), lam, p)
 
 
+    @pytest.mark.parametrize("lam", [Fraction(1), Fraction(3, 2), Fraction(2)])
+    def test_four_variables_match_naive_root(self, lam):
+        # the certificate holds in any number of variables
+        from nonnef.frobenius import ceil_times
+        gens = ((1, 1, 0, 0), (0, 0, 1, 1))
+        r = tau(monomial_ideal(ring(2, "a", "b", "c", "d"), gens), lam)
+        q = 2 ** r.stabilization_e
+        assert r.evidence == "window-stable"
+        assert r.ideal.monomials == naive_monomial_power_root(gens, ceil_times(lam, q), q)
+
+
+class TestOrthogonalNormal:
+    def test_primitive_and_orthogonal(self):
+        from math import gcd
+        from nonnef.newton import _orthogonal_normal
+        rng = random.Random(7)
+        for n in range(1, 5):
+            for _ in range(40):
+                vectors = [tuple(rng.randrange(-3, 4) for _ in range(n))
+                           for _ in range(n - 1)]
+                h = _orthogonal_normal(vectors, n)
+                if h is None:
+                    continue
+                assert gcd(*h) == 1, (vectors, h)
+                assert all(sum(a * b for a, b in zip(h, v)) == 0 for v in vectors)
+
+    def test_dependent_vectors_give_none(self):
+        from nonnef.newton import _orthogonal_normal
+        assert _orthogonal_normal([(1, 2, 0, 1), (2, 4, 0, 2), (0, 0, 1, 0)], 4) is None
+
+
 class TestMixedNewtonCertificate:
     @pytest.mark.parametrize("p", [2, 3])
     def test_mixed_tau_matches_deep_iteration(self, p):

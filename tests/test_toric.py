@@ -46,6 +46,46 @@ class TestFanValidation:
             assert classify_divisor(fan, fan.ample).ample
 
 
+    @pytest.mark.parametrize("name", ["p2", "p1xp1", "f1", "f2", "p3"])
+    def test_walls_are_ray_coordinates(self, name):
+        fan = builtin_fan(name)
+        for cone in fan.max_cones:
+            walls = fan.walls(cone)
+            assert [j for j, _ in walls] == [j for j in range(len(fan.rays))
+                                             if j not in cone]
+            for j, c in walls:
+                assert fan.rays[j] == tuple(
+                    sum(ck * fan.rays[i][k] for ck, i in zip(c, cone))
+                    for k in range(fan.dim))
+
+
+class TestDomainChecks:
+    @pytest.mark.parametrize("coeffs", [(1, 0), (1, 0, 0, 5)])
+    def test_wrong_length_divisor(self, coeffs):
+        fan = builtin_fan("p2")
+        d = ToricDivisor(coeffs)
+        for call in (lambda: classify_divisor(fan, d),
+                     lambda: asymptotic_ord_toric(fan, d, InvariantSubvariety((0,))),
+                     lambda: stable_base_locus(fan, d),
+                     lambda: chart_ideal(fan, d, 1, (0, 1)),
+                     lambda: non_nef_locus(fan, divisor(1, 0, 0), ample=d)):
+            with pytest.raises(DomainError, match="coefficients"):
+                call()
+
+    @pytest.mark.parametrize("rays", [(7,), (-1,), (0, 1, 2)])
+    def test_subvariety_outside_the_fan(self, rays):
+        fan = builtin_fan("p2")
+        sub = InvariantSubvariety(rays)
+        with pytest.raises(DomainError, match="does not span a cone"):
+            asymptotic_ord_toric(fan, divisor(1, 0, 0), sub)
+        with pytest.raises(DomainError, match="does not span a cone"):
+            sigma(fan, divisor(1, 0, 0), sub)
+
+    def test_repeated_ray_rejected(self):
+        with pytest.raises(DomainError, match="twice"):
+            InvariantSubvariety((0, 0))
+
+
 class TestClassification:
     def test_line_on_p2(self):
         cls = classify_divisor(builtin_fan("p2"), divisor(1, 0, 0))
