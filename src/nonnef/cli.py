@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -69,23 +70,23 @@ def _emit(args, verb, payload, exit_code=EXIT_OK):
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2,
                                     separators=(",", ": ")) + "\n")
     else:
-        _emit_text(verb, report["result"])
+        _emit_text(report["result"])
     return exit_code
 
 
-def _emit_text(verb, enc, indent=""):
+def _emit_text(enc, indent=""):
     if isinstance(enc, dict):
         for k in sorted(enc):
             v = enc[k]
             if isinstance(v, (dict, list)):
                 print(f"{indent}{k}:")
-                _emit_text(verb, v, indent + "  ")
+                _emit_text(v, indent + "  ")
             else:
                 print(f"{indent}{k}: {v}")
     elif isinstance(enc, list):
         for v in enc:
             if isinstance(v, (dict, list)):
-                _emit_text(verb, v, indent + "  ")
+                _emit_text(v, indent + "  ")
                 print(f"{indent}  --")
             else:
                 print(f"{indent}- {v}")
@@ -103,32 +104,57 @@ def _load_ideal(text: str) -> Ideal:
     return parse_ideal(_read_arg(text))
 
 
+def _ints(text: str) -> tuple:
+    """A comma-separated list of integers; anything else is a DomainError
+    that names the text."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise DomainError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _load_fan(spec: str) -> Fan:
     spec = spec.strip()
     if spec.startswith("builtin:"):
         return builtin_fan(spec)
-    raw = sys.stdin.read() if spec == "-" else open(spec, "r", encoding="utf-8").read()
-    data = json.loads(raw)
-    return build_fan(data["rays"], data["max_cones"])
+    try:
+        if spec == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(spec, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        data = json.loads(raw)
+        rays, max_cones = data["rays"], data["max_cones"]
+        entries = [c for v in rays + max_cones for c in v]
+    except OSError as exc:
+        raise DomainError(f"cannot read fan file {spec!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise DomainError(f"fan file {spec!r} is not valid JSON: {exc}") from None
+    except (KeyError, TypeError):
+        raise DomainError(f"fan file {spec!r} needs the keys 'rays' and 'max_cones', "
+                          f"each a list of integer lists") from None
+    # Fan() would truncate 1.5 to 1 without a word
+    if any(type(c) is not int for c in entries):
+        raise DomainError(f"fan file {spec!r}: rays and max_cones must hold integers only")
+    return build_fan(rays, max_cones)
 
 
 def _load_subvariety(text: str) -> InvariantSubvariety:
-    return InvariantSubvariety(tuple(int(t) for t in text.split(",")))
+    return InvariantSubvariety(_ints(text))
 
 
 def _load_coordinate_subvariety(text: str, amb) -> CoordinateSubvariety:
     names = [t.strip() for t in text.split(",")]
     if all(n in amb.variables for n in names):
         return CoordinateSubvariety(tuple(amb.variables.index(n) for n in names))
-    return CoordinateSubvariety(tuple(int(t) for t in names))
+    return CoordinateSubvariety(_ints(text))
 
 
-def _load_sequence(spec: str, caps: Caps):
+def _load_sequence(spec: str):
     """`[seq] power <ideal>` | `[seq] table k:{<ideal>} ...` |
     `[seq] toric <fan> <divisor> [chart=i,j] [p=q]`.
 
     Returns (sequence, chart_or_None)."""
-    import re
     spec = _read_arg(spec).strip()
     if spec.startswith("seq "):
         spec = spec[4:].strip()
@@ -156,9 +182,9 @@ def _load_sequence(spec: str, caps: Caps):
         for extra in parts[2:]:
             key, _, val = extra.partition("=")
             if key == "chart":
-                chart = tuple(int(t) for t in val.split(","))
-            elif key == "p":
-                p = int(val)
+                chart = _ints(val)
+            elif key == "p" and "," not in val:
+                (p,) = _ints(val)
             else:
                 raise DomainError(f"unknown toric sequence option {extra!r}")
         if chart is None:
@@ -287,11 +313,11 @@ def _dispatch(args) -> int:
         z = _load_coordinate_subvariety(args.vars, a.ring)
         return _emit(args, verb, {"ord": ord_along(a, z)})
     if verb == "aord":
-        seq, _ = _load_sequence(args.seq, caps)
+        seq, _ = _load_sequence(args.seq)
         z = _load_coordinate_subvariety(args.vars, seq.ring)
         return _emit(args, verb, asymptotic_ord(seq, z, args.sample_cap))
     if verb == "atau":
-        seq, _ = _load_sequence(args.seq, caps)
+        seq, _ = _load_sequence(args.seq)
         return _emit(args, verb, asymptotic_test_ideal(seq, parse_rational(args.lam), caps))
     if verb == "toric-classify":
         fan = _load_fan(args.fan)
@@ -316,7 +342,7 @@ def _dispatch(args) -> int:
     if verb == "tau-plus":
         fan = _load_fan(args.fan)
         amp = ToricDivisor(parse_divisor(args.ample)) if args.ample else None
-        chart = tuple(int(t) for t in args.chart.split(","))
+        chart = _ints(args.chart)
         r = tau_plus_toric(fan, ToricDivisor(parse_divisor(args.divisor)),
                            parse_rational(args.lam), chart, amp, args.p, caps)
         return _emit(args, verb, r)

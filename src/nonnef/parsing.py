@@ -128,11 +128,15 @@ def format_ideal(a: Ideal) -> str:
 # -- rationals -----------------------------------------------------------------
 
 def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """`a` or `a/b` with integers a, b (b nonzero); anything else is a
+    DomainError that names the text."""
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"not a rational number: {text!r}") from None
 
 
 def format_rational(q) -> str:

@@ -23,9 +23,9 @@ from .errors import ContractError, DomainError
 from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
                         check_lambda, stabilize, worst_evidence)
 from .ideal import Ideal, ideal_contains, monomial_ideal, zero_ideal
-from .newton import _det, _orthogonal_normal
+from .newton import _det, _orthogonal_normal, _primitive
 from .poly import min_antichain, ring
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Polytope, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, Polytope, solve_lp
 
 
 class Fan:
@@ -50,28 +50,25 @@ class Fan:
     def _validate(self):
         n = self.dim
         if not (1 <= n <= 3):
-            raise ContractError("fan dimension must be 1, 2 or 3")
+            raise DomainError("fan dimension must be 1, 2 or 3")
         if any(len(v) != n for v in self.rays):
-            raise ContractError("ray length mismatch")
+            raise DomainError("ray length mismatch")
         if len(set(self.rays)) != len(self.rays):
-            raise ContractError("duplicate rays")
+            raise DomainError("duplicate rays")
         for v in self.rays:
-            g = 0
-            for c in v:
-                g = gcd(g, c)
-            if g != 1:
-                raise ContractError(f"ray {v} is not a primitive integer vector")
+            if _primitive(v) != v:
+                raise DomainError(f"ray {v} is not a primitive integer vector")
         used = {i for c in self.max_cones for i in c}
         if used != set(range(len(self.rays))):
-            raise ContractError("completeness failure: unused or unknown rays")
+            raise DomainError("completeness failure: unused or unknown rays")
         for c in self.max_cones:
             if len(c) < n:
-                raise ContractError(f"completeness failure: maximal cone {c} is not "
-                                    f"full-dimensional")
+                raise DomainError(f"completeness failure: maximal cone {c} is not "
+                                  f"full-dimensional")
             if len(c) > n:
-                raise ContractError(f"smoothness failure: cone {c} is not simplicial")
+                raise DomainError(f"smoothness failure: cone {c} is not simplicial")
             if abs(_det([self.rays[i] for i in c])) != 1:
-                raise ContractError(f"smoothness failure: cone {c} has determinant != +-1")
+                raise DomainError(f"smoothness failure: cone {c} has determinant != +-1")
         self._check_complete()
         self._ample = self._find_ample()
 
@@ -79,8 +76,8 @@ class Fan:
         n = self.dim
         if n == 1:
             if set(self.rays) != {(1,), (-1,)}:
-                raise ContractError("completeness failure: a complete 1-dim fan "
-                                    "needs rays (1) and (-1)")
+                raise DomainError("completeness failure: a complete 1-dim fan "
+                                  "needs rays (1) and (-1)")
             return
         facets = {}
         for ci, cone in enumerate(self.max_cones):
@@ -88,8 +85,8 @@ class Fan:
                 facets.setdefault(tuple(facet), []).append(ci)
         for facet, owners in facets.items():
             if len(owners) != 2:
-                raise ContractError(f"completeness failure: facet {facet} lies in "
-                                    f"{len(owners)} maximal cones (want 2)")
+                raise DomainError(f"completeness failure: facet {facet} lies in "
+                                  f"{len(owners)} maximal cones (want 2)")
             # the two remaining rays must sit strictly on opposite sides
             normal = _orthogonal_normal([self.rays[i] for i in facet], n)
             sides = []
@@ -97,16 +94,16 @@ class Fan:
                 (extra,) = [i for i in self.max_cones[ci] if i not in facet]
                 s = sum(a * b for a, b in zip(normal, self.rays[extra]))
                 if s == 0:
-                    raise ContractError(f"completeness failure: cone {self.max_cones[ci]} "
-                                        f"degenerate across facet {facet}")
+                    raise DomainError(f"completeness failure: cone {self.max_cones[ci]} "
+                                      f"degenerate across facet {facet}")
                 sides.append(s > 0)
             if sides[0] == sides[1]:
-                raise ContractError(f"completeness failure: fan folds at facet {facet}")
+                raise DomainError(f"completeness failure: fan folds at facet {facet}")
         # Euler characteristic of the induced sphere complex
         v, e, f = len(self.rays), len(facets), len(self.max_cones)
         ok = (v == f) if n == 2 else (v - e + f == 2)
         if not ok:
-            raise ContractError("completeness failure: Euler characteristic mismatch")
+            raise DomainError("completeness failure: Euler characteristic mismatch")
         # connectivity through facets
         seen = {0}
         frontier = [0]
@@ -122,7 +119,7 @@ class Fan:
                     seen.add(d)
                     frontier.append(d)
         if len(seen) != len(self.max_cones):
-            raise ContractError("completeness failure: fan support is disconnected")
+            raise DomainError("completeness failure: fan support is disconnected")
 
     def _find_ample(self):
         """An integral ample divisor found by the strict-convexity LP; its
@@ -139,14 +136,11 @@ class Fan:
                 cons.append((row, Fraction(1)))
         res = solve_lp([0] * nrays, cons, nrays)
         if res.status != OPTIMAL:
-            raise ContractError("projectivity failure: no strictly convex "
-                                "support function exists")
-        scale = 1
-        for c in res.point:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        d = ToricDivisor(tuple(Fraction(c * scale) for c in res.point))
-        cls = classify_divisor(self, d)
-        if not cls.ample:
+            raise DomainError("projectivity failure: no strictly convex "
+                              "support function exists")
+        point = ToricDivisor(res.point)
+        d = point.scale(point.denominator)
+        if not _wall_test(self, d)[1]:
             raise ContractError("projectivity witness failed the ample check")
         return d
 
@@ -184,9 +178,11 @@ class Fan:
         return tuple(InvariantSubvariety(t) for t in sorted(subs, key=lambda t: (len(t), t)))
 
     def chart_for(self, sub):
+        """(cone, positions): the first maximal cone containing the rays of
+        `sub`, and the chart coordinates of `sub` in it."""
         for cone in self.max_cones:
             if set(sub.rays) <= set(cone):
-                return cone
+                return cone, tuple(cone.index(i) for i in sub.rays)
         raise DomainError(f"{sub} does not span a cone of the fan")
 
     def sequence(self, d: "ToricDivisor", cone, p: int) -> "GradedSequence":
@@ -333,38 +329,37 @@ def _check_length(fan: Fan, d: ToricDivisor):
                           f"but the fan has {len(fan.rays)} rays")
 
 
-def classify_divisor(fan: Fan, d: ToricDivisor) -> Classification:
+def _wall_test(fan: Fan, d: ToricDivisor):
+    """(nef, ample) from the walls: D is nef when the slack
+    d_j - c_j . d_sigma of every wall of every chart is >= 0, ample when
+    every slack is > 0.  No LP."""
     _check_length(fan, d)
-    nef = True
-    ample = True
     coeffs = d.coefficients
+    ample = True
     for cone in fan.max_cones:
-        # the slack of ray j over the chart's support function: d_j - c_j . d_sigma
         for j, c in fan.walls(cone):
             slack = coeffs[j] - sum(ck * coeffs[i] for ck, i in zip(c, cone))
             if slack < 0:
-                nef = ample = False
-            elif slack == 0:
+                return False, False
+            if slack == 0:
                 ample = False
-        if not nef:
-            break
-    cons = fan.polytope_constraints(d)
+    return True, ample
+
+
+def classify_divisor(fan: Fan, d: ToricDivisor) -> Classification:
+    """The walls decide nef and ample; one LP decides the rest.  That LP is
+    the l_inf inradius t* = max over u of min_i (<u, v_i> + d_i) of the
+    section polytope P_D: P_D is nonempty iff t* >= 0 and has interior iff
+    t* > 0.  On a complete toric variety the effective cone is closed and
+    polyhedral, so pseudo-effective is effective."""
+    nef, ample = _wall_test(fan, d)
     n = fan.dim
-    effective = Polytope(cons, n).feasible
-    # big: the section polytope has positive inradius in the l_inf sense
-    big_cons = [(tuple(a) + (-1,), b) for a, b in cons]
-    big_res = solve_lp([0] * n + [-1], big_cons, n + 1)
-    big = big_res.status == OPTIMAL and -big_res.value > 0
-    if big_res.status == UNBOUNDED:
+    res = solve_lp([0] * n + [-1],
+                   [(tuple(a) + (-1,), b) for a, b in fan.polytope_constraints(d)], n + 1)
+    if res.status != OPTIMAL:
         raise ContractError("section polytope unbounded: fan is not complete")
-    # pseudo-effective: P_{D + eps*A} nonempty for every eps > 0
-    amp = fan.ample.coefficients if fan.ample is not None else (1,) * len(fan.rays)
-    eps_cons = [(tuple(a) + (amp[i],), b)
-                for i, (a, b) in enumerate(cons)]
-    eps_res = solve_lp([0] * n + [1], eps_cons, n + 1)
-    pseudo = eps_res.status == UNBOUNDED or (eps_res.status == OPTIMAL
-                                             and eps_res.value <= 0)
-    return Classification(ample, nef, big, pseudo, effective)
+    inradius = -res.value
+    return Classification(ample, nef, inradius > 0, inradius >= 0, inradius >= 0)
 
 
 # -- lattice staircases of section polytopes ---------------------------------------
@@ -491,28 +486,14 @@ def chart_ideal(fan: Fan, d: ToricDivisor, level: int, cone, p: int = 2) -> Idea
     return monomial_ideal(amb, gens)
 
 
-def _face_has_section(fan: Fan, d: ToricDivisor, level: int, cone,
-                      positions) -> bool:
-    """Is there a section of |level*D| not vanishing along the subvariety
-    whose chart coordinates are `positions`?  Equivalently: a lattice point
-    of the chart system with w_p = 0 at each of those positions."""
-    cons = _chart_system(fan, d, level, cone)
-    keep = [i for i in range(fan.dim) if i not in set(positions)]
-    reduced = []
-    for c, r in cons:
-        reduced.append(([c[i] for i in keep], r))
-    return _lattice_feasible(reduced, len(keep))
-
-
 def base_locus_ord(fan: Fan, d: ToricDivisor, level: int, sub: InvariantSubvariety,
                    p: int = 2):
     """ord of the base-locus ideal of |level*D| along the subvariety; inf
     when the linear system is empty."""
-    cone = fan.chart_for(sub)
+    cone, positions = fan.chart_for(sub)
     a = chart_ideal(fan, d, level, cone, p)
     if a.is_zero():
         return inf
-    positions = tuple(cone.index(r) for r in sub.rays)
     return ord_along(a, CoordinateSubvariety(positions))
 
 
@@ -570,7 +551,7 @@ def _perturbation(fan: Fan, ample) -> ToricDivisor:
     else `ample` once it passes the ample check."""
     if ample is None:
         return fan.ample
-    if not classify_divisor(fan, ample).ample:
+    if not _wall_test(fan, ample)[1]:
         raise DomainError("perturbation divisor must be ample")
     return ample
 
@@ -623,9 +604,16 @@ def stable_base_locus(fan: Fan, d: ToricDivisor,
     chain until caps.window consecutive levels repeat the member set.
 
     Membership is a lattice-emptiness question on the face of the section
-    polytope where the chart coordinates of Z vanish; no staircase is
-    materialized."""
+    polytope where the chart coordinates of Z vanish: a section of
+    |level*D| misses Z when the chart system of Z's chart has a lattice
+    point with those coordinates zero.  One chart system per chart and
+    level serves every face in that chart; no staircase is materialized."""
     subs = fan.invariant_subvarieties()
+    # per subvariety: its chart and the chart coordinates left free on its face
+    faces = []
+    for sub in subs:
+        cone, positions = fan.chart_for(sub)
+        faces.append((sub, cone, [i for i in range(fan.dim) if i not in positions]))
     r = d.denominator
     levels = []
     any_nonempty = False
@@ -635,16 +623,15 @@ def stable_base_locus(fan: Fan, d: ToricDivisor,
         level = r
         while level <= r * caps.m_cap:
             levels.append(level)
-            if not _lattice_feasible(_chart_system(fan, d, level, fan.max_cones[0]),
-                                     fan.dim):
+            systems = {cone: _chart_system(fan, d, level, cone) for cone in fan.max_cones}
+            if not _lattice_feasible(systems[fan.max_cones[0]], fan.dim):
                 yield level, set(subs)   # empty linear system: everything is base locus
             else:
                 any_nonempty = True
                 current = set()
-                for sub in subs:
-                    cone = fan.chart_for(sub)
-                    positions = tuple(cone.index(i) for i in sub.rays)
-                    if not _face_has_section(fan, d, level, cone, positions):
+                for sub, cone, keep in faces:
+                    face = [([c[i] for i in keep], rhs) for c, rhs in systems[cone]]
+                    if not _lattice_feasible(face, len(keep)):
                         current.add(sub)
                 yield level, current
             level *= 2
@@ -768,7 +755,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     subs = fan.invariant_subvarieties()
 
     # method 2 once per chart: tau ideals at integer exponents
-    charts = sorted({fan.chart_for(s) for s in subs})
+    charts = sorted({fan.chart_for(s)[0] for s in subs})
     tau_by_chart = {}
     evidences = []
     for cone in charts:
@@ -805,8 +792,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
         if sg.evidence == EVIDENCE_CAP:
             evidences.append(EVIDENCE_CAP)
         lp_member = sg.value is not None and sg.value > 0
-        cone = fan.chart_for(sub)
-        positions = tuple(cone.index(i) for i in sub.rays)
+        cone, positions = fan.chart_for(sub)
         z = CoordinateSubvariety(positions)
         tau_member = any(ord_along(t, z) >= 1 for t in tau_by_chart[cone])
         bl_member = sub in finest

@@ -130,3 +130,37 @@ def lp_min_by_vertices(objective, constraints, nvars):
             if best is None or val < best:
                 best, best_x = val, x
     return best, best_x
+
+
+def _section_rows(rays, coeffs):
+    """P_D = {u : <u, v_i> >= -d_i} as rows for `lp_min_by_vertices`."""
+    return [(tuple(v), -c) for v, c in zip(rays, coeffs)]
+
+
+def effective_by_vertices(rays, coeffs):
+    """D is effective iff its section polytope has a (rational) point."""
+    n = len(rays[0])
+    return lp_min_by_vertices([0] * n, _section_rows(rays, coeffs), n)[0] is not None
+
+
+def big_by_vertices(rays, coeffs):
+    """D is big iff P_D has interior: no <u, v_i> + d_i vanishes on all of
+    P_D, that is every max over P_D of <u, v_i> + d_i is > 0."""
+    n = len(rays[0])
+    rows = _section_rows(rays, coeffs)
+    for v, c in zip(rays, coeffs):
+        low, _ = lp_min_by_vertices([-x for x in v], rows, n)
+        if low is None or c - low <= 0:
+            return False
+    return True
+
+
+def pseudo_effective_by_eps_lp(rays, coeffs, ample):
+    """The definition: P_{D + eps*A} is nonempty for every eps > 0, i.e. the
+    least eps with <u, v_i> + d_i + eps*a_i >= 0 solvable is <= 0.  That
+    minimum is finite for ample A, so a vertex of the (u, eps) region
+    attains it."""
+    n = len(rays[0])
+    rows = [(tuple(v) + (a,), -c) for v, c, a in zip(rays, coeffs, ample)]
+    least, _ = lp_min_by_vertices([0] * n + [1], rows, n + 1)
+    return least is not None and least <= 0

@@ -166,6 +166,26 @@ class TestExitCodes:
         payload = json.loads(out)["result"]
         assert code == 1 and payload["kind"] == "DomainError"
 
+    @pytest.mark.parametrize("argv, text", [
+        (["toric-ord", "--fan", "builtin:p2", "--divisor", "1,0,0", "--cone", "a"], "'a'"),
+        (["sigma", "--fan", "builtin:p2", "--divisor", "1,0,0", "--cone", "0,"], "'0,'"),
+        (["tau-plus", "--fan", "builtin:blowup-p2", "--divisor", "0,0,2,1",
+          "--lambda", "2", "--chart", "x"], "'x'"),
+        (["tau", "--ideal", "p=2; vars=x; gens=[x]", "--lambda", "abc"], "'abc'"),
+        (["tau", "--ideal", "p=2; vars=x; gens=[x]", "--lambda", "1/0"], "'1/0'"),
+        (["toric-classify", "--fan", "builtin:p2", "--divisor", "1,a,0"], "'a'"),
+        (["atau", "--seq", "toric builtin:p2 1,0,0 chart=a", "--lambda", "1"], "'a'"),
+        (["atau", "--seq", "toric builtin:p2 1,0,0 p=x", "--lambda", "1"], "'x'"),
+        (["atau", "--seq", "toric builtin:p2 1,0,0 p=2,3", "--lambda", "1"], "'p=2,3'"),
+        (["ord", "--ideal", "p=2; vars=x,y; gens=[x]", "--vars", "z"], "'z'"),
+    ], ids=["cone", "cone-trailing-comma", "chart", "lambda-word", "lambda-zero-denominator",
+            "divisor", "seq-chart", "seq-p", "seq-p-list", "vars"])
+    def test_malformed_number_is_domain_error(self, argv, text):
+        code, out = run_cli(["--json"] + argv)
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert text in payload["error"]
+
     def test_verify_pass_exits_zero(self):
         code, out = run_cli(["--json", "verify", "ceil-identity", "--budget", "500"])
         assert code == 0
@@ -201,6 +221,36 @@ class TestFanFile:
         code, out = run_cli(["--json", "toric-classify", "--fan", str(fan_file),
                              "--divisor", "1,1,1"])
         assert code == 0 and json.loads(out)["result"]["ample"] is True
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read fan file"),
+        ("{bad", "not valid JSON"),
+        ('{"rays": [[1, 0], [-1, 0]]}', "needs the keys"),
+        ("[1, 2]", "needs the keys"),
+        # P^4: rays e_1..e_4 and -(1,1,1,1), five simplicial cones
+        (json.dumps({"rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                              [-1, -1, -1, -1]],
+                     "max_cones": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4],
+                                   [0, 2, 3, 4], [1, 2, 3, 4]]}),
+         "fan dimension must be 1, 2 or 3"),
+        (json.dumps({"rays": [[1, 0], [-1, 2], [0, -1]],
+                     "max_cones": [[0, 1], [1, 2], [0, 2]]}), "smoothness"),
+        ('{"rays": [1, 0, -1], "max_cones": [[0], [1]]}', "needs the keys"),
+        ('{"rays": [[1, "a"], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+         "integers only"),
+        ('{"rays": [[1.5, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+         "integers only"),
+    ], ids=["missing", "not-json", "no-max-cones", "not-an-object", "dimension-4",
+            "not-smooth", "flat-rays", "string-entry", "float-entry"])
+    def test_bad_fan_file_is_domain_error(self, tmp_path, content, message):
+        fan_file = tmp_path / "fan.json"
+        if content is not None:
+            fan_file.write_text(content)
+        code, out = run_cli(["--json", "toric-classify", "--fan", str(fan_file),
+                             "--divisor", "1,0,0,0,0"])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert message in payload["error"]
 
 
 class TestEnvOverrides:

@@ -6,16 +6,32 @@ from math import inf
 
 import pytest
 
-from nonnef import Caps, ContractError, DomainError
-from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor,
+from nonnef import Caps, DomainError
+from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor, _perturbation,
                           asymptotic_ord_toric, base_locus_ord, blowup_lab,
                           build_fan, builtin_fan, chart_ideal, classify_divisor,
                           divisor, non_nef_locus, sigma, stable_base_locus,
                           tau_plus_toric, tau_toric)
 from nonnef.simplex import Polytope
-from oracles import lp_min_by_vertices
+from oracles import (big_by_vertices, effective_by_vertices, lp_min_by_vertices,
+                     pseudo_effective_by_eps_lp)
 
 E_SUB = InvariantSubvariety((3,))
+FANS = ("p2", "p1xp1", "f1", "f2", "p3")
+
+
+@pytest.fixture
+def polytopes(monkeypatch):
+    """The dimensions of every `Polytope` built from here on, in order."""
+    built = []
+    init = Polytope.__init__
+
+    def counting(self, constraints, n):
+        built.append(n)
+        init(self, constraints, n)
+
+    monkeypatch.setattr(Polytope, "__init__", counting)
+    return built
 
 
 class TestFanValidation:
@@ -27,17 +43,17 @@ class TestFanValidation:
         assert builtin_fan("blowup-p2").picard_number == 2
 
     def test_incomplete_rejected(self):
-        with pytest.raises(ContractError, match="completeness"):
+        with pytest.raises(DomainError, match="completeness"):
             build_fan([(1, 0), (-1, 0)], [(0,), (1,)])
 
     def test_nonsmooth_rejected(self):
         # cone with determinant 2
-        with pytest.raises(ContractError, match="smoothness"):
+        with pytest.raises(DomainError, match="smoothness"):
             build_fan([(1, 0), (-1, 2), (0, -1)], [(0, 1), (1, 2), (0, 2)])
 
     def test_folded_fan_rejected(self):
         # two copies of the same cone on one side
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError):
             build_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
 
     def test_every_builtin_has_verified_ample(self):
@@ -102,16 +118,45 @@ class TestClassification:
         assert not cls.pseudo_effective and not cls.effective
 
     def test_effective_iff_psef_on_complete_toric(self):
+        # effectiveness and bigness by vertex enumeration, pseudo-effectivity
+        # by its eps-LP definition, on integer and rational divisors
         rng = random.Random(4)
-        for name in ("p2", "p1xp1", "f1", "f2"):
+        for name in FANS:
             fan = builtin_fan(name)
-            for _ in range(30):
-                d = ToricDivisor(tuple(rng.randrange(-2, 3)
-                                       for _ in fan.rays))
+            rays = fan.rays
+            for k in range(60):
+                den = 1 if k < 30 else rng.choice((2, 3, 4))
+                d = ToricDivisor(tuple(Fraction(rng.randrange(-2 * den, 3 * den + 1), den)
+                                       for _ in rays))
                 cls = classify_divisor(fan, d)
+                assert cls.effective == effective_by_vertices(rays, d.coefficients)
+                assert cls.big == big_by_vertices(rays, d.coefficients)
+                assert cls.pseudo_effective == pseudo_effective_by_eps_lp(
+                    rays, d.coefficients, fan.ample.coefficients)
                 assert cls.effective == cls.pseudo_effective
                 if cls.ample:
                     assert cls.nef and cls.big
+
+    @pytest.mark.parametrize("name", FANS)
+    def test_classification_builds_one_polytope(self, name, polytopes):
+        fan = builtin_fan(name)
+        for d in (fan.ample, fan.ample.scale(-1)):
+            del polytopes[:]
+            classify_divisor(fan, d)
+            assert polytopes == [fan.dim + 1]
+
+    def test_building_a_fan_runs_one_lp(self, polytopes):
+        fan = build_fan([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 3), (1, 3), (1, 2), (0, 2)])
+        assert len(polytopes) == 1
+        assert classify_divisor(fan, fan.ample).ample
+
+    def test_ample_check_runs_no_lp(self, polytopes):
+        fan = builtin_fan("f1")
+        del polytopes[:]   # building the fan runs its witness LP
+        assert _perturbation(fan, divisor(0, 0, 2, -1)) == divisor(0, 0, 2, -1)
+        with pytest.raises(DomainError, match="must be ample"):
+            _perturbation(fan, divisor(0, 0, 2, 0))
+        assert polytopes == []
 
 
 class TestWorkedExample:
@@ -308,20 +353,16 @@ class TestNonNef:
 
     @pytest.mark.parametrize("name, coeffs", [("p2", (1, 0, -1)), ("f1", (0, 0, 2, 1)),
                                               ("p3", (1, 0, 0, 0))])
-    def test_one_phase_one_per_polytope(self, monkeypatch, name, coeffs):
-        fan = builtin_fan(name)   # built first: fan validation runs LPs of its own
-        built = []
-        init = Polytope.__init__
-
-        def counting(self, constraints, n):
-            built.append(n)
-            init(self, constraints, n)
-
-        monkeypatch.setattr(Polytope, "__init__", counting)
+    def test_one_phase_one_per_polytope(self, name, coeffs, polytopes):
+        fan = builtin_fan(name)   # built first: fan validation runs an LP of its own
+        del polytopes[:]
         non_nef_locus(fan, divisor(*coeffs))
-        # three for classifying D, one per sampled eps = 1/2 .. 1/16 shared
+        # one for classifying D, one per sampled eps = 1/2 .. 1/16 shared
         # by the order LPs of every subvariety
-        assert len(built) == 3 + 4
+        assert len(polytopes) == 1 + 4
+        del polytopes[:]
+        non_nef_locus(fan, divisor(*coeffs), ample=fan.ample)
+        assert len(polytopes) == 1 + 4
 
 
 class TestChartIdeals:
@@ -439,5 +480,5 @@ class TestThreeDimensional:
 
 
 def test_non_primitive_ray_rejected():
-    with pytest.raises(ContractError, match="primitive"):
+    with pytest.raises(DomainError, match="primitive"):
         build_fan([(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
