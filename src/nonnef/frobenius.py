@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from math import gcd, lcm
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import ContractError, DomainError, ResourceLimitError
@@ -176,36 +177,45 @@ def _small_power_gens(gens: tuple, n: int) -> frozenset:
     return monomial_power_gens(frozenset(gens), n) if n else frozenset([(0,) * len(gens[0])])
 
 
+@lru_cache(maxsize=1)
+def _root_memo(families: tuple, p: int) -> tuple:
+    """(memo, interned) shared by every monomial_root_of_power call on one
+    generator family: memo maps the flat key (e_left, *ns, *m) to the
+    antichain rec(ns, m, e_left), which depends on nothing else, and interned
+    maps each antichain to one shared copy.  Only the most recent family is
+    kept."""
+    return {}, {}
+
+
 def monomial_root_of_power(ring, pairs, e: int, p: int) -> frozenset:
     """Minimal generators of (prod_i a_i^{N_i})^[1/p^e] for monomial ideals
     a_i given by minimal generator tuples, without expanding the powers.
 
     pairs: sequence of (sorted tuple of exponent vectors, N_i >= 0).
     """
-    pairs = tuple((tuple(sorted(g)), n) for g, n in pairs)
-    nvars = ring.nvars
-    memo: dict = {}
+    families = tuple(tuple(sorted(g)) for g, _ in pairs)
+    memo, interned = _root_memo(families, p)
 
     def rec(ns: tuple, m: tuple, e_left: int) -> frozenset:
-        key = (ns, m, e_left)
+        key = (e_left, *ns, *m)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if e_left == 0:
             gens = {m}
-            for (gvecs, _), n in zip(pairs, ns):
+            for gvecs, n in zip(families, ns):
                 pw = _small_power_gens(gvecs, n)
                 gens = min_antichain(mono_mul(g, w) for g in gens for w in pw)
             out = frozenset(gens)
         else:
             options = []
-            for (gvecs, _), n in zip(pairs, ns):
+            for gvecs, n in zip(families, ns):
                 rmax = min(n, len(gvecs) * (p - 1))
                 options.append(range(n % p, rmax + 1, p))
             collected: set = set()
             for combo in iter_product(*options):
                 zs = {m}
-                for (gvecs, _), r in zip(pairs, combo):
+                for gvecs, r in zip(families, combo):
                     if r:
                         zset = _digit_table(gvecs, p)[r]
                         zs = min_antichain(mono_mul(z, w) for z in zs for w in zset)
@@ -214,11 +224,11 @@ def monomial_root_of_power(ring, pairs, e: int, p: int) -> frozenset:
                     m2 = tuple(c // p for c in z)
                     collected |= rec(sub_ns, m2, e_left - 1)
             out = min_antichain(collected)
+        out = interned.setdefault(out, out)
         memo[key] = out
         return out
 
-    start_ns = tuple(n for _, n in pairs)
-    return rec(start_ns, (0,) * nvars, e)
+    return rec(tuple(n for _, n in pairs), (0,) * ring.nvars, e)
 
 
 # -- test ideals -----------------------------------------------------------------
@@ -344,7 +354,8 @@ def mixed_test_ideal(a: Ideal, lam, b: Ideal, mu, caps: Caps = DEFAULT_CAPS) -> 
     if a.is_zero() or b.is_zero():
         raise DomainError("mixed test ideal requires nonzero ideals")
     if a.ring != b.ring:
-        raise ContractError("mixed test ideal needs a common ambient ring")
+        raise DomainError(f"mixed test ideal needs a common ambient ring, "
+                          f"got {a.ring!r} and {b.ring!r}")
     if a.is_monomial and b.is_monomial:
         return _monomial_chain(a.ring, ((tuple(sorted(a.monomials)), lam),
                                         (tuple(sorted(b.monomials)), mu)), caps)
@@ -368,6 +379,19 @@ class JumpReport:
     certified: bool   # False if any tau evaluation hit a cap
 
 
+def _jump_grid(lam_max: Fraction, denom_bound: int) -> list:
+    """The candidate points n/d in (0, lam_max] with d <= denom_bound, as
+    pairs (n, d) in lowest terms, ascending.  They are sorted by the exact
+    integer rank n * (L // d) = (n/d) * L with L = lcm(1..denom_bound), so
+    no Fraction is built."""
+    lcm_all = lcm(*range(1, denom_bound + 1))
+    ranked = sorted((n * (lcm_all // d), n, d)
+                    for d in range(1, denom_bound + 1)
+                    for n in range(1, lam_max.numerator * d // lam_max.denominator + 1)
+                    if gcd(n, d) == 1)
+    return [(n, d) for _, n, d in ranked]
+
+
 def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
                       caps: Caps = DEFAULT_CAPS) -> JumpReport:
     """All jumping numbers in (0, lam_max] with denominator <= denom_bound.
@@ -382,26 +406,24 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
         raise DomainError("jumping numbers require a nonzero ideal")
     if denom_bound < 1:
         raise DomainError("denominator bound must be >= 1")
-    grid = sorted({Fraction(n, d)
-                   for d in range(1, denom_bound + 1)
-                   for n in range(1, (lam_max * d).__floor__() + 1)})
+    grid = _jump_grid(lam_max, denom_bound)
     unit = unit_ideal(a.ring)
     results: dict = {-1: TestIdealResult(unit, 0, EVIDENCE_CLOSED)}  # tau(0+) = (1)
 
     def lookup(i: int) -> TestIdealResult:
         if i not in results:
-            results[i] = test_ideal(a, grid[i], caps)
+            results[i] = test_ideal(a, Fraction(*grid[i]), caps)
         return results[i]
 
     def same(i: int, j: int) -> bool:
         return lookup(i).ideal == lookup(j).ideal
 
-    jumps: list = []
+    jump_at: list = []   # grid indices of the jumps
 
     def bisect(lo: int, hi: int):
         # precondition: tau(lo) != tau(hi); find every change point in between
         if hi - lo == 1:
-            jumps.append(grid[hi])
+            jump_at.append(hi)
             return
         mid = (lo + hi) // 2
         if not same(lo, mid):
@@ -411,19 +433,16 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
 
     if grid and not same(-1, len(grid) - 1):
         bisect(-1, len(grid) - 1)
-    jumps.sort()
+    jump_at.sort()
+    jumps = tuple(Fraction(*grid[i]) for i in jump_at)
 
-    plateaus = []
-    boundaries = [Fraction(0)] + jumps
-    for k, start in enumerate(boundaries):
-        end = boundaries[k + 1] if k + 1 < len(boundaries) else lam_max
-        idx = grid.index(start) if start in grid and start > 0 else -1
-        plateaus.append(Plateau(start, end, lookup(idx).ideal))
+    plateaus = [Plateau(start, end, lookup(i).ideal) for i, start, end in
+                zip([-1] + jump_at, (Fraction(0),) + jumps, jumps + (lam_max,))]
     for prev, nxt in zip(plateaus, plateaus[1:]):
         if not (ideal_contains(prev.ideal, nxt.ideal) and prev.ideal != nxt.ideal):
             raise ContractError("plateau ideals must strictly decrease")
     certified = all(r.evidence != EVIDENCE_CAP for r in results.values())
-    return JumpReport(lam_max, tuple(jumps), tuple(plateaus), certified)
+    return JumpReport(lam_max, jumps, tuple(plateaus), certified)
 
 
 # -- the ceiling-splitting identity ----------------------------------------------

@@ -7,8 +7,9 @@ reverse lexicographic.  Polynomials are immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le
 
-from .errors import ContractError
+from .errors import ContractError, DomainError
 from .field import PrimeField
 
 Monomial = tuple  # exponent vector, one natural number per variable
@@ -23,9 +24,9 @@ class Ring:
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
-            raise ContractError("duplicate variable names")
+            raise DomainError(f"duplicate variable names in {self.variables!r}")
         if not self.variables:
-            raise ContractError("need at least one variable")
+            raise DomainError("need at least one variable")
 
     @property
     def nvars(self) -> int:
@@ -42,12 +43,12 @@ def ring(p: int, *variables: str) -> Ring:
 # -- monomial helpers --------------------------------------------------------
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True if x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b: Monomial, a: Monomial) -> Monomial:

@@ -748,6 +748,9 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
 
     Disagreement raises: the three characterizations are theorems, so a
     mismatch is an implementation bug, not data."""
+    if type(tau_level_cap) is not int or tau_level_cap < 1:
+        raise DomainError(f"tau_level_cap must be a positive integer, "
+                          f"got {tau_level_cap!r}")
     a = _perturbation(fan, ample)
     cls = classify_divisor(fan, d)
     if not cls.pseudo_effective:

@@ -6,6 +6,8 @@ that the production code paths are checked against something that shares
 no code with them.
 """
 
+from fractions import Fraction
+
 from nonnef.ideal import Ideal, monomial_ideal
 from nonnef.poly import Polynomial, min_antichain
 
@@ -49,6 +51,13 @@ def naive_product_power_root(pairs, q):
         layer = set(_power_sums(gens, n)) if n else {(0,) * nvars}
         sums = {tuple(a + b for a, b in zip(s, t)) for s in sums for t in layer}
     return min_antichain(tuple(c // q for c in s) for s in sums)
+
+
+def jump_grid_by_fractions(lam_max, denom_bound):
+    """The candidate jumping numbers n/d in (0, lam_max], d <= denom_bound,
+    as a sorted list of distinct Fractions."""
+    return sorted({Fraction(n, d) for d in range(1, denom_bound + 1)
+                   for n in range(1, (lam_max * d).__floor__() + 1)})
 
 
 def oneshot_q_root(a: Ideal, q: int) -> Ideal:

@@ -24,7 +24,7 @@ from nonnef.toric import (InvariantSubvariety, ToricDivisor, asymptotic_ord_tori
                           tau_plus_toric, tau_toric)
 from nonnef.verify import (random_monomial_ideal, run_ceil_identity,
                            run_subadditivity)
-from oracles import naive_monomial_power_root
+from oracles import jump_grid_by_fractions, naive_monomial_power_root
 
 
 def _report(number, name, t0, budget):
@@ -74,8 +74,7 @@ def _oracle_jumps(a, lam_max, denom_bound, e_oracle):
     """Direct-iteration jump detection at a fixed Frobenius depth."""
     p = a.ring.field.p
     q = p ** e_oracle
-    grid = sorted({Fraction(n, dd) for dd in range(1, denom_bound + 1)
-                   for n in range(1, (lam_max * dd).__floor__() + 1)})
+    grid = jump_grid_by_fractions(lam_max, denom_bound)
     gens = tuple(sorted(a.monomials))
     prev = frozenset({(0,) * a.ring.nvars})
     jumps = []

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,10 +189,48 @@ class TestExitCodes:
         assert code == 1 and payload["kind"] == "DomainError"
         assert text in payload["error"]
 
+    def test_mixed_tau_over_different_rings_is_domain_error(self):
+        code, out = run_cli(["--json", "mixed-tau",
+                             "--ideal", "p=2; vars=x,y; gens=[x^2, y^3]", "--lambda", "1",
+                             "--ideal2", "p=3; vars=x,y; gens=[x]", "--mu", "1"])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert "F_2[x,y]" in payload["error"] and "F_3[x,y]" in payload["error"]
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_tau_level_cap_is_domain_error(self, cap):
+        code, out = run_cli(["--json", "nonnef", "--fan", "builtin:f1",
+                             "--divisor", "0,0,2,1", "--tau-level-cap", cap])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert "tau_level_cap" in payload["error"]
+
+    @pytest.mark.parametrize("names, message", [("x,x", "duplicate variable names"),
+                                                (",", "at least one variable")],
+                             ids=["duplicate", "empty"])
+    def test_bad_variable_list_is_domain_error(self, names, message):
+        code, out = run_cli(["--json", "tau", "--ideal", f"p=2; vars={names}; gens=[1]",
+                             "--lambda", "1"])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert message in payload["error"]
+
     def test_verify_pass_exits_zero(self):
         code, out = run_cli(["--json", "verify", "ceil-identity", "--budget", "500"])
         assert code == 0
         assert json.loads(out)["result"]["violations"] == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    argv = ["--json", "tau", "--ideal", "p=2; vars=x,y; gens=[x, y]", "--lambda", "2"]
+    done = subprocess.run([sys.executable, "-m", "nonnef"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_cli(argv)[1]
+    assert json.loads(done.stdout)["result"]["ideal"] == "p=2; vars=x,y; gens=[y, x]"
 
 
 class TestDeterminism:

@@ -35,6 +35,15 @@ def test_mul_hand_expansion_char3():
     assert f * g == parse_poly("x^2 + 2", R3)
 
 
+@pytest.mark.parametrize("names, message", [(("x", "x"), "duplicate variable names"),
+                                            (("x", "y", "x"), "duplicate variable names"),
+                                            ((), "at least one variable")],
+                         ids=["duplicate", "later-duplicate", "empty"])
+def test_bad_variable_list_is_domain_error(names, message):
+    with pytest.raises(DomainError, match=message):
+        ring(2, *names)
+
+
 def test_mul_ambient_mismatch():
     with pytest.raises(ContractError):
         parse_poly("x", R2) * parse_poly("x", R3)

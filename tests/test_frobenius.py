@@ -2,6 +2,8 @@
 
 import operator
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,12 @@ from nonnef import (Caps, ContractError, DomainError, FrobeniusContext,
                     mixed_test_ideal, monomial_ideal, parse_ideal, ring,
                     unit_ideal, zero_ideal)
 from nonnef.field import PrimeField
-from nonnef.frobenius import monomial_root_of_power, stabilize
+from nonnef.frobenius import (_jump_grid, _root_memo, ceil_times, monomial_root_of_power,
+                              stabilize)
 from nonnef.frobenius import test_ideal as tau
-from oracles import (naive_monomial_power_root, naive_product_power_root,
-                     naive_test_ideal_chain, oneshot_q_root)
+from nonnef.verify import random_monomial_ideal
+from oracles import (jump_grid_by_fractions, naive_monomial_power_root,
+                     naive_product_power_root, naive_test_ideal_chain, oneshot_q_root)
 
 R2 = ring(2, "x", "y")
 R3 = ring(3, "x", "y")
@@ -154,6 +158,131 @@ class TestFusedRootOfPower:
                 == naive_monomial_power_root(gens, n, 2 ** e)
 
 
+class TestRootMemo:
+    """monomial_root_of_power shares one memo per generator family; its
+    answers must not depend on what that memo holds."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(2026)
+        cases = []
+        for k in range(8):
+            p = (2, 3)[k % 2]
+            amb = ring(p, *[f"x{i}" for i in range(2 + k % 3 // 2)])
+            a = random_monomial_ideal(rng, amb, 3, 4)
+            cases.append((p, amb, tuple(sorted(a.monomials)), a))
+        return cases
+
+    EXPONENTS = [(e, n) for e in (1, 2, 3) for n in (0, 1, 5, 11, 2 * 3 ** e + 1)]
+
+    def _roots(self, amb, gens, p):
+        return [monomial_root_of_power(amb, ((gens, n),), e, p) for e, n in self.EXPONENTS]
+
+    def test_roots_independent_of_memo_state(self):
+        cases = self._cases()
+        other = ((2, 1), (0, 3))
+        for p, amb, gens, _ in cases:
+            _root_memo.cache_clear()
+            cold = self._roots(amb, gens, p)
+            # warm: the same family, filled by the other exponents first
+            _root_memo.cache_clear()
+            for e in (4, 3, 2):
+                monomial_root_of_power(amb, ((gens, 3 * p ** e - 1),), e, p)
+            warm = self._roots(amb, gens, p)
+            # evicted: another family in between, then this family over the other prime
+            monomial_root_of_power(ring(p, "u", "v"), ((other, 7),), 2, p)
+            evicted = self._roots(amb, gens, p)
+            self._roots(amb, gens, 5 - p)
+            evicted_by_prime = self._roots(amb, gens, p)
+            assert cold == warm == evicted == evicted_by_prime, (p, gens)
+            assert cold == [naive_monomial_power_root(gens, n, p ** e)
+                            for e, n in self.EXPONENTS], (p, gens)
+
+    def test_jumps_independent_of_memo_state(self):
+        for p, amb, gens, a in self._cases()[:4]:
+            _root_memo.cache_clear()
+            cold = f_jumping_numbers(a, Fraction(5, 2), 6)
+            warm = f_jumping_numbers(a, Fraction(5, 2), 6)
+            tau(monomial_ideal(amb, [(1,) * amb.nvars, (3,) + (0,) * (amb.nvars - 1)]),
+                Fraction(7, 3))
+            evicted = f_jumping_numbers(a, Fraction(5, 2), 6)
+            assert cold == warm == evicted, (p, gens)
+
+    def test_mixed_ideal_independent_of_memo_state(self):
+        a = I("p=2; vars=x,y; gens=[x^2, y^3, x*y]")
+        b = I("p=2; vars=x,y; gens=[x^3, y]")
+        lam, mu = Fraction(5, 3), Fraction(3, 4)
+        _root_memo.cache_clear()
+        cold = mixed_test_ideal(a, lam, b, mu)
+        for e in (1, 2, 3, 4):
+            mixed_test_ideal(a, Fraction(e, 3), b, Fraction(e, 2))
+        warm = mixed_test_ideal(a, lam, b, mu)
+        tau(a, lam)
+        evicted = mixed_test_ideal(a, lam, b, mu)
+        assert cold == warm == evicted
+        q = 2 ** cold.stabilization_e
+        assert cold.ideal.monomials == naive_product_power_root(
+            ((tuple(sorted(a.monomials)), ceil_times(lam, q)),
+             (tuple(sorted(b.monomials)), ceil_times(mu, q))), q)
+
+    def test_threads_evicting_each_other_get_serial_answers(self):
+        ideals = [a for _, _, _, a in self._cases()[:4]]
+        _root_memo.cache_clear()
+        serial = [f_jumping_numbers(a, 4, 8) for a in ideals]
+        got = [None] * 8
+        errors = []
+
+        def work(k):
+            try:
+                got[k] = f_jumping_numbers(ideals[k % 4], 4, 8)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _root_memo.cache_clear()
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert got == serial * 2
+
+    def test_at_most_one_family_retained(self):
+        _root_memo.cache_clear()
+        families = [((1, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 1),)]
+        for gens in families:
+            monomial_root_of_power(R2, ((gens, 5),), 2, 2)
+            assert _root_memo.cache_info().currsize == 1
+        memo, _ = _root_memo((families[-1],), 2)
+        assert memo and _root_memo.cache_info().hits == 1
+        fresh, interned = _root_memo((families[0],), 2)
+        assert not fresh and not interned
+
+    def test_memo_values_are_interned(self):
+        _root_memo.cache_clear()
+        gens = ((0, 2), (1, 1), (3, 0))
+        for e in (1, 2, 3):
+            monomial_root_of_power(R2, ((gens, 5 * 2 ** e),), e, 2)
+        memo, interned = _root_memo((gens,), 2)
+        assert set(map(id, memo.values())) == set(map(id, interned.values()))
+        assert len(interned) < len(memo)
+
+
+class TestJumpGrid:
+    @pytest.mark.parametrize("lam_max", [0, Fraction(1, 2), Fraction(7, 2), 4])
+    def test_matches_the_fraction_set(self, lam_max):
+        for denom_bound in range(1, 13):
+            grid = _jump_grid(Fraction(lam_max), denom_bound)
+            assert [Fraction(n, d) for n, d in grid] == \
+                jump_grid_by_fractions(Fraction(lam_max), denom_bound)
+            assert all(Fraction(n, d).denominator == d for n, d in grid)
+
+
 class TestStabilize:
     def test_returns_first_seen_member_of_the_final_run(self):
         members = [(1, "a"), (2, "bb"), (3, "BB"), (4, "Bb"), (5, "c")]
@@ -269,6 +398,11 @@ class TestMixedTestIdeal:
         mixed = mixed_test_ideal(a, lam, a, lam).ideal
         square = tau(ideal_power(a, 2), lam).ideal
         assert ideal_contains(square, mixed)
+
+    def test_different_rings_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"F_2\[x,y\] and F_3\[x,y\]"):
+            mixed_test_ideal(I("p=2; vars=x,y; gens=[x^2, y^3]"), 1,
+                             I("p=3; vars=x,y; gens=[x]"), 1)
 
     def test_principal_pair(self):
         r = mixed_test_ideal(I("p=2; vars=x,y; gens=[x]"), 1,

@@ -482,3 +482,9 @@ class TestThreeDimensional:
 def test_non_primitive_ray_rejected():
     with pytest.raises(DomainError, match="primitive"):
         build_fan([(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("cap", [0, -1, Fraction(2)], ids=["zero", "negative", "fraction"])
+def test_non_positive_tau_level_cap_is_domain_error(cap):
+    with pytest.raises(DomainError, match="tau_level_cap"):
+        non_nef_locus(builtin_fan("f1"), divisor(0, 0, 2, 1), tau_level_cap=cap)
