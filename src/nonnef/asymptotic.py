@@ -288,9 +288,12 @@ class AsymptoticPropsReport:
     warnings: tuple
 
 
+#: Levels m at which check_asymptotic_props checks its precondition c*a_m inside b_m.
+_COMPARISON_LEVELS = 8
+
+
 def check_asymptotic_props(seq: GradedSequence, seq2, c, lam, mu, m: int,
-                           caps: Caps = DEFAULT_CAPS,
-                           comparison_cap: int = 8) -> AsymptoticPropsReport:
+                           caps: Caps = DEFAULT_CAPS) -> AsymptoticPropsReport:
     """Containments satisfied by asymptotic test ideals; failures with clean
     evidence are contract errors, cap-flagged ones downgrade to warnings."""
     lam, mu = check_lambda(lam), check_lambda(mu)
@@ -320,7 +323,7 @@ def check_asymptotic_props(seq: GradedSequence, seq2, c, lam, mu, m: int,
     if seq2 is not None and c is not None:
         if c.is_zero():
             raise DomainError("comparison ideal c must be nonzero")
-        for k in range(1, comparison_cap + 1):
+        for k in range(1, _COMPARISON_LEVELS + 1):
             if not ideal_contains(seq2.term(k), ideal_product(c, seq.term(k)), caps):
                 raise DomainError(f"precondition c*a_m inside b_m fails at m={k}")
         t2 = asymptotic_test_ideal(seq2, lam, caps)

@@ -26,7 +26,7 @@ from .frobenius import (FrobeniusContext, f_jumping_numbers, frobenius_root,
 from .ideal import Ideal
 from .parsing import format_rational, parse_divisor, parse_ideal, parse_rational
 from .toric import (Fan, InvariantSubvariety, ToricDivisor, asymptotic_ord_toric,
-                    build_fan, builtin_fan, classify_divisor, non_nef_locus,
+                    builtin_fan, classify_divisor, non_nef_locus,
                     sigma, stable_base_locus, tau_plus_toric)
 from .verify import SUITES, run_suite
 
@@ -124,8 +124,8 @@ def _load_fan(spec: str) -> Fan:
             with open(spec, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         data = json.loads(raw)
-        rays, max_cones = data["rays"], data["max_cones"]
-        entries = [c for v in rays + max_cones for c in v]
+        rays = [list(v) for v in data["rays"]]
+        max_cones = [list(c) for c in data["max_cones"]]
     except OSError as exc:
         raise DomainError(f"cannot read fan file {spec!r}: {exc.strerror}") from None
     except ValueError as exc:
@@ -133,10 +133,7 @@ def _load_fan(spec: str) -> Fan:
     except (KeyError, TypeError):
         raise DomainError(f"fan file {spec!r} needs the keys 'rays' and 'max_cones', "
                           f"each a list of integer lists") from None
-    # Fan() would truncate 1.5 to 1 without a word
-    if any(type(c) is not int for c in entries):
-        raise DomainError(f"fan file {spec!r}: rays and max_cones must hold integers only")
-    return build_fan(rays, max_cones)
+    return Fan(rays, max_cones)
 
 
 def _load_subvariety(text: str) -> InvariantSubvariety:
@@ -152,16 +149,14 @@ def _load_coordinate_subvariety(text: str, amb) -> CoordinateSubvariety:
 
 def _load_sequence(spec: str):
     """`[seq] power <ideal>` | `[seq] table k:{<ideal>} ...` |
-    `[seq] toric <fan> <divisor> [chart=i,j] [p=q]`.
-
-    Returns (sequence, chart_or_None)."""
+    `[seq] toric <fan> <divisor> [chart=i,j] [p=q]`."""
     spec = _read_arg(spec).strip()
     if spec.startswith("seq "):
         spec = spec[4:].strip()
     kind, _, rest = spec.partition(" ")
     rest = rest.strip()
     if kind == "power":
-        return GradedSequence.power(parse_ideal(rest)), None
+        return GradedSequence.power(parse_ideal(rest))
     if kind == "table":
         entries = re.findall(r"(\d+)\s*:\s*\{([^}]*)\}", rest)
         if not entries:
@@ -170,7 +165,7 @@ def _load_sequence(spec: str):
         rings = {a.ring for a in table.values()}
         if len(rings) != 1:
             raise DomainError("table entries must share one ambient ring")
-        return GradedSequence.from_table(rings.pop(), table), None
+        return GradedSequence.from_table(rings.pop(), table)
     if kind == "toric":
         parts = rest.split()
         if len(parts) < 2:
@@ -187,9 +182,7 @@ def _load_sequence(spec: str):
                 (p,) = _ints(val)
             else:
                 raise DomainError(f"unknown toric sequence option {extra!r}")
-        if chart is None:
-            chart = fan.max_cones[0]
-        return fan.sequence(div, chart, p), tuple(sorted(chart))
+        return fan.sequence(div, fan.max_cones[0] if chart is None else chart, p)
     raise DomainError(f"unknown sequence kind {kind!r}; want power/table/toric")
 
 
@@ -296,7 +289,7 @@ def _dispatch(args) -> int:
     if verb == "root":
         a = _load_ideal(args.ideal)
         ctx = FrobeniusContext(a.ring.field, args.e)
-        return _emit(args, verb, {"ideal": frobenius_root(a, ctx, caps)})
+        return _emit(args, verb, {"ideal": frobenius_root(a, ctx)})
     if verb == "tau":
         r = test_ideal(_load_ideal(args.ideal), parse_rational(args.lam), caps)
         return _emit(args, verb, r)
@@ -313,11 +306,11 @@ def _dispatch(args) -> int:
         z = _load_coordinate_subvariety(args.vars, a.ring)
         return _emit(args, verb, {"ord": ord_along(a, z)})
     if verb == "aord":
-        seq, _ = _load_sequence(args.seq)
+        seq = _load_sequence(args.seq)
         z = _load_coordinate_subvariety(args.vars, seq.ring)
         return _emit(args, verb, asymptotic_ord(seq, z, args.sample_cap))
     if verb == "atau":
-        seq, _ = _load_sequence(args.seq)
+        seq = _load_sequence(args.seq)
         return _emit(args, verb, asymptotic_test_ideal(seq, parse_rational(args.lam), caps))
     if verb == "toric-classify":
         fan = _load_fan(args.fan)

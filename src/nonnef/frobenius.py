@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import gcd, lcm
 
@@ -124,9 +124,11 @@ def _p_root_step(gens, p: int):
 
 
 _ROOT_GEN_CAP = 100000
+#: Largest size bound lam_max * D(D+1)/2 of a candidate grid f_jumping_numbers builds.
+_JUMP_GRID_CAP = 10 ** 6
 
 
-def frobenius_root(a: Ideal, ctx: FrobeniusContext, caps: Caps = DEFAULT_CAPS) -> Ideal:
+def frobenius_root(a: Ideal, ctx: FrobeniusContext) -> Ideal:
     """The ideal a^[1/p^e]: coefficients of the base-q digit decompositions
     of the generators, computed by iterating the p-th root e times.
 
@@ -311,14 +313,13 @@ def _general_chain(ring, ideals_with_lambda, caps: Caps) -> TestIdealResult:
         for e in range(1, caps.e_max_general + 1):
             q *= p
             try:
-                power = unit_ideal(ring)
-                for a, lam in ideals_with_lambda:
-                    power = ideal_product(power, ideal_power(a, ceil_times(lam, q), caps))
+                power = reduce(ideal_product, [ideal_power(a, ceil_times(lam, q), caps)
+                                               for a, lam in ideals_with_lambda])
             except ResourceLimitError:
                 if e == 1:
                     raise
                 return  # chain truncated by the degree cap: cap-reached below
-            yield e, frobenius_root(power, FrobeniusContext(ring.field, e), caps)
+            yield e, frobenius_root(power, FrobeniusContext(ring.field, e))
 
     # reduced Groebner keys, not Ideal.__eq__, which would add normal forms
     ideal, first_e, stable = stabilize(
@@ -404,8 +405,14 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
     lam_max = check_lambda(lam_max)
     if a.is_zero():
         raise DomainError("jumping numbers require a nonzero ideal")
-    if denom_bound < 1:
-        raise DomainError("denominator bound must be >= 1")
+    if type(denom_bound) is not int or denom_bound < 1:
+        raise DomainError(f"denom_bound must be a positive integer, got {denom_bound!r}")
+    # the grid has sum_{d <= D} floor(lam_max * d) points; bound it before
+    # lcm(1..D) is formed
+    grid_bound = lam_max * denom_bound * (denom_bound + 1) / 2
+    if grid_bound > _JUMP_GRID_CAP:
+        raise ResourceLimitError(f"candidate grid of up to {int(grid_bound)} points "
+                                 f"exceeds {_JUMP_GRID_CAP}; lower denom_bound or lam_max")
     grid = _jump_grid(lam_max, denom_bound)
     unit = unit_ideal(a.ring)
     results: dict = {-1: TestIdealResult(unit, 0, EVIDENCE_CLOSED)}  # tau(0+) = (1)

@@ -48,7 +48,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return a - b
 
 
-def buchberger(generators, pair_cap: int = 20000):
+def buchberger(generators, pair_cap: int):
     """Reduced Groebner basis of the ideal spanned by `generators`.
 
     Deterministic given the generator list: pairs are processed in order of

@@ -27,7 +27,7 @@ class Ideal:
 
     __slots__ = ("ring", "generators", "is_monomial", "_gb", "_gb_lock", "_monos")
 
-    def __init__(self, ring: Ring, generators, groebner_cache=None, _trusted_cache=False):
+    def __init__(self, ring: Ring, generators):
         gens = [g for g in generators if not g.is_zero()]
         for g in gens:
             if g.ring != ring:
@@ -52,20 +52,6 @@ class Ideal:
         self._monos = frozenset(g.leading_monomial() for g in gens) if monomial else None
         self._gb = None
         self._gb_lock = threading.Lock()
-        if groebner_cache is not None:
-            if not _trusted_cache:
-                self._validate_cache(groebner_cache)
-            self._gb = tuple(groebner_cache)
-
-    def _validate_cache(self, cache):
-        # mutual containment: cache members lie in the ideal and vice versa
-        fresh = buchberger(list(self.generators))
-        for g in cache:
-            if not normal_form(g, fresh).is_zero():
-                raise ContractError("groebner_cache generates a different ideal")
-        for g in self.generators:
-            if not normal_form(g, list(cache)).is_zero():
-                raise ContractError("groebner_cache does not contain the generators")
 
     # -- basic predicates ------------------------------------------------------
 
@@ -94,9 +80,6 @@ class Ideal:
         return self._gb
 
     # -- identity ---------------------------------------------------------------
-
-    def key(self):
-        return (self.ring.field.p, self.ring.variables, tuple(g.key() for g in self.generators))
 
     def __eq__(self, other):
         if not isinstance(other, Ideal) or self.ring != other.ring:
@@ -225,4 +208,6 @@ def groebner_basis(a: Ideal, caps=DEFAULT_CAPS) -> Ideal:
     if a.is_zero():
         raise DomainError("Groebner basis of the zero ideal is undefined here")
     basis = a.groebner(caps.gb_pair_cap)
-    return Ideal(a.ring, list(basis), groebner_cache=basis, _trusted_cache=True)
+    gb = Ideal(a.ring, basis)
+    gb._gb = basis  # a reduced basis is its own Groebner basis
+    return gb

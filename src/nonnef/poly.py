@@ -109,18 +109,8 @@ class Polynomial:
         return cls(ring, {(0,) * ring.nvars: 1})
 
     @classmethod
-    def constant(cls, ring: Ring, c: int) -> "Polynomial":
-        return cls(ring, {(0,) * ring.nvars: c})
-
-    @classmethod
     def monomial(cls, ring: Ring, exponents, coeff: int = 1) -> "Polynomial":
         return cls(ring, {tuple(exponents): coeff})
-
-    @classmethod
-    def variable(cls, ring: Ring, index: int) -> "Polynomial":
-        exps = [0] * ring.nvars
-        exps[index] = 1
-        return cls(ring, {tuple(exps): 1})
 
     # predicates
     def is_zero(self) -> bool:

@@ -141,10 +141,8 @@ class Polytope:
         return LPResult(OPTIMAL, sum(c * v for c, v in zip(objective, x)), x)
 
 
-def solve_lp(objective, constraints, n, maximize=False) -> LPResult:
-    """Optimize objective . x over {x in Q^n : a_i . x >= b_i for all i}:
+def solve_lp(objective, constraints, n) -> LPResult:
+    """Minimize objective . x over {x in Q^n : a_i . x >= b_i for all i}:
     one phase 1 and one phase 2.  Exact throughout; the point returned
     attains the optimum."""
-    sign = -1 if maximize else 1
-    res = Polytope(constraints, n).minimize([sign * Fraction(c) for c in objective])
-    return res if res.status != OPTIMAL else LPResult(OPTIMAL, sign * res.value, res.point)
+    return Polytope(constraints, n).minimize(objective)

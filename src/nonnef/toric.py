@@ -37,9 +37,9 @@ class Fan:
     The dimension bound comes from the Euler check of `_check_complete`."""
 
     def __init__(self, rays, max_cones):
-        self.rays = tuple(tuple(int(c) for c in v) for v in rays)
+        self.rays = tuple(map(tuple, rays))
         self.dim = len(self.rays[0]) if self.rays else 0
-        self.max_cones = tuple(tuple(sorted(c)) for c in max_cones)
+        self.max_cones = tuple(map(tuple, max_cones))
         self._walls = {}
         self._sequences = {}
         self._ample = None
@@ -48,6 +48,10 @@ class Fan:
     # -- validation -------------------------------------------------------
 
     def _validate(self):
+        # first: every later check assumes integer entries
+        if any(type(c) is not int for v in self.rays + self.max_cones for c in v):
+            raise DomainError("fan rays and max_cones must hold integers only")
+        self.max_cones = tuple(tuple(sorted(c)) for c in self.max_cones)
         n = self.dim
         if not (1 <= n <= 3):
             raise DomainError("fan dimension must be 1, 2 or 3")
@@ -186,11 +190,20 @@ class Fan:
         raise DomainError(f"{sub} does not span a cone of the fan")
 
     def sequence(self, d: "ToricDivisor", cone, p: int) -> "GradedSequence":
-        """Memoized chart base-locus sequence; repeated tau evaluations on
-        the same divisor then share every computed term."""
-        key = (d.coefficients, tuple(sorted(cone)), p)
+        """The graded sequence m -> base-locus ideal of |mD| on the chart,
+        zero at levels where mD is not integral.  Memoized, so repeated tau
+        evaluations on the same divisor share every computed term."""
+        cone = tuple(sorted(cone))
+        key = (d.coefficients, cone, p)
         if key not in self._sequences:
-            self._sequences[key] = toric_sequence(self, d, cone, p)
+            amb = ring(p, *[f"x{i}" for i in cone])
+
+            def rule(m: int) -> Ideal:
+                if not d.is_integral_at(m):
+                    return zero_ideal(amb)
+                return chart_ideal(self, d, m, cone, p)
+
+            self._sequences[key] = GradedSequence.from_rule(amb, rule, name=f"sections{cone}")
         return self._sequences[key]
 
     def polytope_constraints(self, divisor):
@@ -199,12 +212,6 @@ class Fan:
 
     def __repr__(self):
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, cones={len(self.max_cones)})"
-
-
-def build_fan(rays, max_cones) -> Fan:
-    """Validated fan; rejects non-smooth / non-complete / non-projective
-    input with a named diagnostic."""
-    return Fan(rays, max_cones)
 
 
 @dataclass(frozen=True)
@@ -263,29 +270,29 @@ def divisor(*coeffs) -> ToricDivisor:
 # -- the built-in fan library ----------------------------------------------------
 
 def _p2():
-    return build_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    return Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
 
 def _p1xp1():
-    return build_fan([(1, 0), (-1, 0), (0, 1), (0, -1)],
-                     [(0, 2), (1, 2), (1, 3), (0, 3)])
+    return Fan([(1, 0), (-1, 0), (0, 1), (0, -1)],
+               [(0, 2), (1, 2), (1, 3), (0, 3)])
 
 
 def _f1():
     # blow-up of P^2 at the point of the cone spanned by rays 0 and 1;
     # ray 3 = (1,1) is the exceptional curve E
-    return build_fan([(1, 0), (0, 1), (-1, -1), (1, 1)],
-                     [(0, 3), (1, 3), (1, 2), (0, 2)])
+    return Fan([(1, 0), (0, 1), (-1, -1), (1, 1)],
+               [(0, 3), (1, 3), (1, 2), (0, 2)])
 
 
 def _f2():
-    return build_fan([(1, 0), (0, 1), (-1, 2), (0, -1)],
-                     [(0, 1), (1, 2), (2, 3), (0, 3)])
+    return Fan([(1, 0), (0, 1), (-1, 2), (0, -1)],
+               [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def _p3():
-    return build_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-                     [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    return Fan([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+               [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 _BUILTINS = {"p2": _p2, "p1xp1": _p1xp1, "f1": _f1, "blowup-p2": _f1,
@@ -407,16 +414,9 @@ def _slice(cons, w1):
     return out
 
 
-def _lattice_minimals(cons, n):
-    """Minimal lattice points of the polytope {w >= 0} cut by integer
-    constraints c.w >= r (componentwise order)."""
-    cons = [(tuple(int(x) for x in c), int(r)) for c, r in cons]
-    for j in range(n):
-        cons.append((tuple(1 if k == j else 0 for k in range(n)), 0))
-    return _lattice_minimals_rec(cons, n)
-
-
 def _lattice_minimals_rec(cons, n):
+    """Minimal lattice points (componentwise order) of the polytope cut out
+    by the integer constraints c.w >= r, which bound it below by w >= 0."""
     if n == 0:
         return frozenset() if any(r > 0 for _, r in cons) else frozenset([()])
     rng = _fm_first_range(cons, n)
@@ -433,15 +433,8 @@ def _lattice_minimals_rec(cons, n):
     return min_antichain(out)
 
 
-def _lattice_feasible(cons, n) -> bool:
-    """Is there an integer point w >= 0 with c.w >= r for all constraints?"""
-    cons = [(tuple(int(x) for x in c), int(r)) for c, r in cons]
-    for j in range(n):
-        cons.append((tuple(1 if k == j else 0 for k in range(n)), 0))
-    return _lattice_feasible_rec(cons, n)
-
-
 def _lattice_feasible_rec(cons, n) -> bool:
+    """Is there an integer point w with c.w >= r for all constraints?"""
     if n == 0:
         return all(r <= 0 for _, r in cons)
     rng = _fm_first_range(cons, n)
@@ -458,7 +451,7 @@ def _lattice_feasible_rec(cons, n) -> bool:
 def _chart_system(fan: Fan, d: ToricDivisor, level: int, cone):
     """Integer constraints (coeff, rhs) in chart coordinates w, meaning
     coeff.w >= rhs, cutting the section polytope of |level*D| out of the
-    orthant w >= 0 (the orthant rows themselves are left implicit).
+    orthant w >= 0; the orthant rows come last.
 
     Chart exponents of a section u are w_i = <u, v_i> + level*d_i over the
     cone's rays; that change of coordinates is unimodular-affine, so
@@ -468,8 +461,10 @@ def _chart_system(fan: Fan, d: ToricDivisor, level: int, cone):
     if not d.is_integral_at(level):
         raise DomainError(f"{level}*D is not an integral divisor")
     ld = [int(level * c) for c in d.coefficients]
-    return [(c, sum(ck * ld[i] for ck, i in zip(c, cone)) - ld[j])
-            for j, c in fan.walls(cone)]
+    n = fan.dim
+    return ([(c, sum(ck * ld[i] for ck, i in zip(c, cone)) - ld[j])
+             for j, c in fan.walls(cone)]
+            + [(tuple(int(k == j) for k in range(n)), 0) for j in range(n)])
 
 
 def chart_ideal(fan: Fan, d: ToricDivisor, level: int, cone, p: int = 2) -> Ideal:
@@ -479,7 +474,7 @@ def chart_ideal(fan: Fan, d: ToricDivisor, level: int, cone, p: int = 2) -> Idea
     cone = tuple(sorted(cone))
     if cone not in fan.max_cones:
         raise DomainError("chart must be a maximal cone")
-    gens = _lattice_minimals(_chart_system(fan, d, level, cone), fan.dim)
+    gens = _lattice_minimals_rec(_chart_system(fan, d, level, cone), fan.dim)
     amb = ring(p, *[f"x{i}" for i in cone])
     if not gens:
         return zero_ideal(amb)
@@ -624,14 +619,15 @@ def stable_base_locus(fan: Fan, d: ToricDivisor,
         while level <= r * caps.m_cap:
             levels.append(level)
             systems = {cone: _chart_system(fan, d, level, cone) for cone in fan.max_cones}
-            if not _lattice_feasible(systems[fan.max_cones[0]], fan.dim):
+            if not _lattice_feasible_rec(systems[fan.max_cones[0]], fan.dim):
                 yield level, set(subs)   # empty linear system: everything is base locus
             else:
                 any_nonempty = True
                 current = set()
                 for sub, cone, keep in faces:
+                    # the orthant rows of the fixed coordinates become 0 >= 0
                     face = [([c[i] for i in keep], rhs) for c, rhs in systems[cone]]
-                    if not _lattice_feasible(face, len(keep)):
+                    if not _lattice_feasible_rec(face, len(keep)):
                         current.add(sub)
                 yield level, current
             level *= 2
@@ -646,20 +642,6 @@ def _sorted_subs(subs):
 
 
 # -- chart test ideals ----------------------------------------------------------------
-
-def toric_sequence(fan: Fan, d: ToricDivisor, cone, p: int) -> GradedSequence:
-    """The graded sequence m -> base-locus ideal of |mD| on the chart,
-    zero at levels where mD is not integral."""
-    cone = tuple(sorted(cone))
-    amb = ring(p, *[f"x{i}" for i in cone])
-
-    def rule(m: int) -> Ideal:
-        if not d.is_integral_at(m):
-            return zero_ideal(amb)
-        return chart_ideal(fan, d, m, cone, p)
-
-    return GradedSequence.from_rule(amb, rule, name=f"sections{cone}")
-
 
 def tau_toric(fan: Fan, d: ToricDivisor, lam, cone, p: int = 2,
               caps: Caps = DEFAULT_CAPS) -> TestIdealResult:

@@ -264,6 +264,8 @@ def run_suite(name: str, seed: int = 0, budget: int = None,
     seed.  Returns a list of SuiteResult."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; have {SUITES}")
+    if budget is not None and (type(budget) is not int or budget < 1):
+        raise DomainError(f"budget must be a positive integer, got {budget!r}")
     names = [s for s in SUITES if s != "all"] if name == "all" else [name]
     out = []
     for n in names:

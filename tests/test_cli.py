@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,26 @@ class TestExitCodes:
         payload = json.loads(out)["result"]
         assert code == 1 and payload["kind"] == "DomainError"
         assert message in payload["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "toric-equivalences", "--budget", "-1"],
+        ["verify", "subadditivity", "--budget", "-1"],
+        ["verify", "all", "--budget", "0"],
+    ], ids=["toric-negative", "subadditivity-negative", "all-zero"])
+    def test_non_positive_budget_is_domain_error(self, argv):
+        code, out = run_cli(["--json"] + argv)
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert "budget" in payload["error"]
+
+    def test_huge_jump_grid_is_resource_limit(self):
+        start = time.perf_counter()
+        code, out = run_cli(["--json", "jumps", "--ideal", "p=2; vars=x,y; gens=[x^2, y^3]",
+                             "--max", "4", "--denom-bound", "100000"])
+        payload = json.loads(out)["result"]
+        assert code == 2 and payload["kind"] == "ResourceLimitError"
+        assert "candidate grid" in payload["error"]
+        assert time.perf_counter() - start < 0.5
 
     def test_verify_pass_exits_zero(self):
         code, out = run_cli(["--json", "verify", "ceil-identity", "--budget", "500"])

@@ -8,6 +8,7 @@ from nonnef import (ContractError, DomainError, groebner_basis, ideal_contains,
                     ideal_equal, ideal_power, ideal_product, monomial_ideal,
                     parse_ideal, parse_poly, ring, unit_ideal, zero_ideal)
 from nonnef.caps import DEFAULT_CAPS, ENV_VARS, Caps, caps_from_env
+from nonnef.groebner import buchberger
 from nonnef.poly import Polynomial, grevlex_key, min_antichain
 
 R2 = ring(2, "x", "y")
@@ -211,19 +212,19 @@ class TestGrammar:
 
 
 class TestGroebnerCacheValidation:
-    def test_valid_external_cache_accepted(self):
-        from nonnef.poly import Polynomial
-        gens = [parse_poly("x^2 + y", R3), parse_poly("y", R3)]
-        cache = [parse_poly("y", R3), parse_poly("x^2", R3)]
-        a = __import__("nonnef").Ideal(R3, gens, groebner_cache=cache)
-        assert [repr(g) for g in a.groebner()] == ["y", "x^2"]
+    def test_groebner_basis_result_runs_no_second_buchberger(self, monkeypatch):
+        import nonnef.ideal as ideal_mod
+        calls = []
 
-    def test_wrong_cache_rejected(self):
-        import pytest as _pytest
-        gens = [parse_poly("x^2 + y", R3), parse_poly("y", R3)]
-        bad = [parse_poly("x", R3)]
-        with _pytest.raises(ContractError):
-            __import__("nonnef").Ideal(R3, gens, groebner_cache=bad)
+        def counting(generators, pair_cap):
+            calls.append(pair_cap)
+            return buchberger(generators, pair_cap)
+
+        monkeypatch.setattr(ideal_mod, "buchberger", counting)
+        gb = groebner_basis(I("p=3; vars=x,y; gens=[x^2 + y, x*y + 1]"))
+        assert len(calls) == 1
+        assert gb.groebner() == tuple(buchberger(list(gb.generators), DEFAULT_CAPS.gb_pair_cap))
+        assert len(calls) == 1
 
     def test_zero_ideal_has_no_groebner_basis(self):
         import pytest as _pytest

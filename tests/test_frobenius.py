@@ -4,18 +4,19 @@ import operator
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
-from nonnef import (Caps, ContractError, DomainError, FrobeniusContext,
+from nonnef import (Caps, ContractError, DomainError, FrobeniusContext, ResourceLimitError,
                     ceil_split, f_jumping_numbers, frobenius_power,
                     frobenius_root, ideal_contains, ideal_power, ideal_product,
                     mixed_test_ideal, monomial_ideal, parse_ideal, ring,
                     unit_ideal, zero_ideal)
 from nonnef.field import PrimeField
-from nonnef.frobenius import (_jump_grid, _root_memo, ceil_times, monomial_root_of_power,
-                              stabilize)
+from nonnef.frobenius import (_JUMP_GRID_CAP, _jump_grid, _root_memo, ceil_times,
+                              monomial_root_of_power, stabilize)
 from nonnef.frobenius import test_ideal as tau
 from nonnef.verify import random_monomial_ideal
 from oracles import (jump_grid_by_fractions, naive_monomial_power_root,
@@ -442,6 +443,22 @@ class TestJumpingNumbers:
         for prev, nxt in zip(rep.plateaus, rep.plateaus[1:]):
             assert ideal_contains(prev.ideal, nxt.ideal)
             assert prev.ideal != nxt.ideal
+
+    @pytest.mark.parametrize("bound", [2.5, True, 0, -3, Fraction(4)],
+                             ids=["float", "bool", "zero", "negative", "fraction"])
+    def test_bad_denom_bound_is_domain_error(self, bound):
+        with pytest.raises(DomainError, match="denom_bound"):
+            f_jumping_numbers(I("p=2; vars=x,y; gens=[x^2, y^3]"), 4, bound)
+
+    @pytest.mark.parametrize("lam_max, bound", [(4, 100000), (1, 1414)],
+                             ids=["huge", "just-over"])
+    def test_large_candidate_grid_is_refused_before_it_is_built(self, lam_max, bound):
+        # lam_max * D(D+1)/2 bounds the grid size: 1 * 1414 * 1415 / 2 > 10^6
+        assert lam_max * bound * (bound + 1) / 2 > _JUMP_GRID_CAP == 10 ** 6
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="candidate grid"):
+            f_jumping_numbers(I("p=2; vars=x,y; gens=[x^2, y^3]"), lam_max, bound)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestCeilSplit:

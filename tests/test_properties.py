@@ -4,10 +4,11 @@ identities, semicontinuity probes, and algebra laws under hypothesis."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnef import ceil_split, ideal_contains, parse_poly, ring
+from nonnef import DomainError, ceil_split, ideal_contains, parse_poly, ring
 from nonnef.frobenius import test_ideal as tau
 from nonnef.ideal import ideal_product, monomial_ideal
 from nonnef.poly import Polynomial
@@ -15,6 +16,7 @@ from nonnef.toric import (ToricDivisor, asymptotic_ord_toric, base_locus_ord,
                           blowup_lab, builtin_fan, classify_divisor,
                           non_nef_locus, sigma, stable_base_locus,
                           tau_plus_toric)
+from nonnef.verify import run_suite
 
 R3 = ring(3, "x", "y")
 
@@ -175,3 +177,10 @@ def test_poly_ring_laws_hypothesis(terms_f, terms_g):
     assert f * g == g * f
     assert (f + g) * h == f * h + g * h
     assert f * (g * h) == (f * g) * h
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, True],
+                         ids=["zero", "negative", "float", "bool"])
+def test_run_suite_rejects_a_budget_below_one(budget):
+    with pytest.raises(DomainError, match="budget"):
+        run_suite("ceil-identity", 0, budget)

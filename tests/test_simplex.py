@@ -26,9 +26,10 @@ def test_unbounded():
 
 
 def test_maximize_mode():
+    # maximize x + y by minimizing its negation
     cons = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -2)]  # simplex with x+y <= 2
-    res = solve_lp((1, 1), cons, 2, maximize=True)
-    assert res.value == 2
+    res = solve_lp((-1, -1), cons, 2)
+    assert -res.value == 2
 
 
 def test_exact_fractions():
@@ -111,4 +112,4 @@ def test_minimize_leaves_the_polytope_reusable():
     first = poly.minimize((-1, 0))
     assert poly.minimize((0, -1)).value == -2
     assert poly.minimize((-1, 0)) == first == LPResult(OPTIMAL, -2, (2, 0))
-    assert solve_lp((1, 1), cons, 2, maximize=True).value == 2
+    assert solve_lp((-1, -1), cons, 2).value == -2

@@ -9,7 +9,7 @@ import pytest
 from nonnef import Caps, DomainError
 from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor, _perturbation,
                           asymptotic_ord_toric, base_locus_ord, blowup_lab,
-                          build_fan, builtin_fan, chart_ideal, classify_divisor,
+                          builtin_fan, chart_ideal, classify_divisor,
                           divisor, non_nef_locus, sigma, stable_base_locus,
                           tau_plus_toric, tau_toric)
 from nonnef.simplex import Polytope
@@ -36,7 +36,7 @@ def polytopes(monkeypatch):
 
 class TestFanValidation:
     def test_p2_valid(self):
-        fan = build_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        fan = Fan([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
         assert fan.picard_number == 1
 
     def test_blowup_valid(self):
@@ -44,17 +44,27 @@ class TestFanValidation:
 
     def test_incomplete_rejected(self):
         with pytest.raises(DomainError, match="completeness"):
-            build_fan([(1, 0), (-1, 0)], [(0,), (1,)])
+            Fan([(1, 0), (-1, 0)], [(0,), (1,)])
 
     def test_nonsmooth_rejected(self):
         # cone with determinant 2
         with pytest.raises(DomainError, match="smoothness"):
-            build_fan([(1, 0), (-1, 2), (0, -1)], [(0, 1), (1, 2), (0, 2)])
+            Fan([(1, 0), (-1, 2), (0, -1)], [(0, 1), (1, 2), (0, 2)])
+
+    @pytest.mark.parametrize("rays, cones", [
+        ([(1.5, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+        ([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2.0), (0, 2)]),
+        ([(True, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]),
+        ([(1, 0), (0, 1), (-1, -1)], [(0, "1"), (1, 2), (0, 2)]),
+    ], ids=["float-ray", "float-index", "bool-ray", "string-index"])
+    def test_non_integer_entries_rejected(self, rays, cones):
+        with pytest.raises(DomainError, match="integers only"):
+            Fan(rays, cones)
 
     def test_folded_fan_rejected(self):
         # two copies of the same cone on one side
         with pytest.raises(DomainError):
-            build_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
+            Fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)])
 
     def test_every_builtin_has_verified_ample(self):
         for name in ("p2", "p1xp1", "f1", "f2", "p3"):
@@ -146,7 +156,7 @@ class TestClassification:
             assert polytopes == [fan.dim + 1]
 
     def test_building_a_fan_runs_one_lp(self, polytopes):
-        fan = build_fan([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 3), (1, 3), (1, 2), (0, 2)])
+        fan = Fan([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 3), (1, 3), (1, 2), (0, 2)])
         assert len(polytopes) == 1
         assert classify_divisor(fan, fan.ample).ample
 
@@ -481,7 +491,7 @@ class TestThreeDimensional:
 
 def test_non_primitive_ray_rejected():
     with pytest.raises(DomainError, match="primitive"):
-        build_fan([(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+        Fan([(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
 
 @pytest.mark.parametrize("cap", [0, -1, Fraction(2)], ids=["zero", "negative", "fraction"])
