@@ -5,16 +5,15 @@ Run:  python demos/01_frobenius_roots_and_test_ideals.py
 
 from fractions import Fraction
 
-from nonnef import (FrobeniusContext, PrimeField, frobenius_power,
-                    frobenius_root, mixed_test_ideal, parse_ideal, test_ideal)
+from nonnef import (frobenius_power, frobenius_root, mixed_test_ideal,
+                    parse_ideal, test_ideal)
 
 # The p-th root of an ideal undoes the bracket power: for a principal
 # monomial ideal it is just a floor division on the exponent.
 a = parse_ideal("p=2; vars=x,y; gens=[x^3]")
-ctx = FrobeniusContext(PrimeField(2), 1)
 print("ideal:          ", a)
-print("bracket power:  ", frobenius_power(a, ctx))
-print("Frobenius root: ", frobenius_root(a, ctx))
+print("bracket power:  ", frobenius_power(a, 1))
+print("Frobenius root: ", frobenius_root(a, 1))
 print()
 
 # For a genuinely non-monomial generator the root collects the coefficient
@@ -22,7 +21,7 @@ print()
 #   x^3 + x*y^3 = (x)^3 * 1 + (y)^3 * x
 b = parse_ideal("p=3; vars=x,y; gens=[x^3 + x*y^3]")
 print("ideal:          ", b)
-print("Frobenius root: ", frobenius_root(b, FrobeniusContext(PrimeField(3), 1)))
+print("Frobenius root: ", frobenius_root(b, 1))
 print()
 
 # Test ideals: the stable member of the ascending chain of roots of powers.

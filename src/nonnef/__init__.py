@@ -3,7 +3,7 @@
 from .caps import Caps, DEFAULT_CAPS, caps_from_env
 from .errors import ContractError, DomainError, NonnefError, ResourceLimitError
 from .field import PrimeField
-from .frobenius import (CeilSplit, FrobeniusContext, JumpReport, Plateau,
+from .frobenius import (CeilSplit, JumpReport, Plateau,
                         TestIdealResult, ceil_split, f_jumping_numbers,
                         frobenius_power, frobenius_root, mixed_test_ideal,
                         test_ideal)
@@ -20,7 +20,7 @@ __all__ = [
     "Ideal", "monomial_ideal", "unit_ideal", "zero_ideal",
     "ideal_power", "ideal_product", "ideal_sum", "ideal_contains",
     "ideal_equal", "groebner_basis",
-    "FrobeniusContext", "TestIdealResult", "JumpReport", "Plateau", "CeilSplit",
+    "TestIdealResult", "JumpReport", "Plateau", "CeilSplit",
     "frobenius_power", "frobenius_root", "test_ideal", "mixed_test_ideal",
     "f_jumping_numbers", "ceil_split",
     "parse_ideal", "format_ideal", "parse_poly", "parse_rational", "format_rational",

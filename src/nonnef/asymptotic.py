@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, require_int
 from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
                         check_lambda, stabilize, test_ideal, worst_evidence)
 from .ideal import (Ideal, ideal_contains, ideal_power, ideal_product,
@@ -155,8 +155,7 @@ def asymptotic_ord(seq: GradedSequence, z: CoordinateSubvariety,
                    m_cap: int) -> AsymptoticOrdEstimate:
     """inf_m ord_Z(a_m)/m sampled up to m_cap; exact for power sequences
     (where it equals ord_Z(a_1) by additivity of ord on products)."""
-    if m_cap < 1:
-        raise DomainError("m_cap must be >= 1")
+    require_int(m_cap, "m_cap")
     if seq.kind == "power":
         v = ord_along(seq.base, z)
         value = Fraction(v) if v != INFINITY else INFINITY

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,7 @@ class Caps:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int or value < 1:
-                raise DomainError(f"cap {f.name} must be a positive integer, "
-                                  f"got {value!r}")
+            require_int(getattr(self, f.name), f"cap {f.name}")
 
     def with_overrides(self, **kw) -> "Caps":
         return replace(self, **kw)

@@ -21,8 +21,8 @@ from .asymptotic import (CoordinateSubvariety, GradedSequence, asymptotic_ord,
                          asymptotic_test_ideal, ord_along)
 from .caps import Caps, caps_from_env
 from .errors import ContractError, DomainError, ResourceLimitError
-from .frobenius import (FrobeniusContext, f_jumping_numbers, frobenius_root,
-                        mixed_test_ideal, test_ideal)
+from .frobenius import (f_jumping_numbers, frobenius_root, mixed_test_ideal,
+                        test_ideal)
 from .ideal import Ideal
 from .parsing import format_rational, parse_divisor, parse_ideal, parse_rational
 from .toric import (Fan, InvariantSubvariety, ToricDivisor, asymptotic_ord_toric,
@@ -287,9 +287,7 @@ def _dispatch(args) -> int:
     caps = _caps(args)
     verb = args.verb
     if verb == "root":
-        a = _load_ideal(args.ideal)
-        ctx = FrobeniusContext(a.ring.field, args.e)
-        return _emit(args, verb, {"ideal": frobenius_root(a, ctx)})
+        return _emit(args, verb, {"ideal": frobenius_root(_load_ideal(args.ideal), args.e)})
     if verb == "tau":
         r = test_ideal(_load_ideal(args.ideal), parse_rational(args.lam), caps)
         return _emit(args, verb, r)
@@ -354,6 +352,11 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
+    # argparse reads a value such as -1,0,0 or -1/2 as an option: glue it to its flag
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"-\d", argv[i]) and re.match(r"--[^=]+$", argv[i - 1]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)

@@ -28,3 +28,12 @@ class ResourceLimitError(NonnefError):
     Distinct from the evidence='cap-reached' flag on chain results, which is
     an honest partial answer rather than an abort.
     """
+
+
+def require_int(value, name: str, least: int = 1) -> int:
+    """value if it is an int (not a bool) >= least; otherwise a DomainError
+    that names the argument."""
+    if type(value) is not int or value < least:
+        wanted = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise DomainError(f"{name} must be {wanted}, got {value!r}")
+    return value

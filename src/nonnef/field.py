@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 _MAX_P = 2**31
 
@@ -34,7 +34,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not (2 <= self.p < _MAX_P):
+        if require_int(self.p, "characteristic p", least=2) >= _MAX_P:
             raise DomainError(f"characteristic must satisfy 2 <= p < 2^31, got {self.p}")
         if not is_prime(self.p):
             raise DomainError(f"p must be prime, got {self.p}")

@@ -35,7 +35,7 @@ from itertools import product as iter_product
 from math import gcd, lcm
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import ContractError, DomainError, ResourceLimitError
+from .errors import ContractError, DomainError, ResourceLimitError, require_int
 from .field import PrimeField
 from .ideal import (Ideal, ideal_contains, ideal_power, ideal_product,
                     monomial_ideal, monomial_power_gens, unit_ideal)
@@ -51,22 +51,6 @@ _EVIDENCE_RANK = {EVIDENCE_CLOSED: 0, EVIDENCE_WINDOW: 1, EVIDENCE_CAP: 2}
 
 def worst_evidence(*grades: str) -> str:
     return max(grades, key=_EVIDENCE_RANK.__getitem__)
-
-
-@dataclass(frozen=True)
-class FrobeniusContext:
-    """The e-fold Frobenius on F_p: q = p^e, e = 0 is the identity."""
-
-    field: PrimeField
-    e: int
-
-    def __post_init__(self):
-        if self.e < 0:
-            raise DomainError("Frobenius iterate e must be >= 0")
-
-    @property
-    def q(self) -> int:
-        return self.field.p ** self.e
 
 
 @dataclass(frozen=True)
@@ -90,11 +74,9 @@ def ceil_times(lam: Fraction, q: int) -> int:
 
 # -- bracket powers and roots --------------------------------------------------
 
-def frobenius_power(a: Ideal, ctx: FrobeniusContext) -> Ideal:
-    """Bracket power a^[q]: generated by g^q over the generators g."""
-    if a.ring.field != ctx.field:
-        raise ContractError("context characteristic differs from the ambient ring")
-    q = ctx.q
+def frobenius_power(a: Ideal, e: int) -> Ideal:
+    """Bracket power a^[q], q = p^e: generated by g^q over the generators g."""
+    q = a.ring.field.p ** require_int(e, "Frobenius iterate e", least=0)
     if a.is_zero() or q == 1:
         return a
     if a.is_monomial:
@@ -128,25 +110,26 @@ _ROOT_GEN_CAP = 100000
 _JUMP_GRID_CAP = 10 ** 6
 
 
-def frobenius_root(a: Ideal, ctx: FrobeniusContext) -> Ideal:
-    """The ideal a^[1/p^e]: coefficients of the base-q digit decompositions
-    of the generators, computed by iterating the p-th root e times.
+def frobenius_root(a: Ideal, e: int) -> Ideal:
+    """The ideal a^[1/q], q = p^e: coefficients of the base-q digit
+    decompositions of the generators, computed by iterating the p-th root
+    e times.
 
     Monomial fast path: x^v maps to x^(v div q) componentwise.
     """
-    if a.ring.field != ctx.field:
-        raise ContractError("context characteristic differs from the ambient ring")
+    require_int(e, "Frobenius iterate e", least=0)
     if a.is_zero():
         raise DomainError("Frobenius root requires a nonzero ideal")
-    if ctx.e == 0:
+    if e == 0:
         return a
+    p = a.ring.field.p
     if a.is_monomial:
-        q = ctx.q
+        # p^k > every exponent once k is its bit length: deeper roots floor to 0
+        q = p ** min(e, max(max(v) for v in a.monomials).bit_length())
         return monomial_ideal(a.ring, min_antichain(
             tuple(c // q for c in v) for v in a.monomials))
     gens = list(a.generators)
-    p = ctx.field.p
-    for _ in range(ctx.e):
+    for _ in range(e):
         gens = _p_root_step(gens, p)
         if any(g.is_constant() for g in gens):
             return unit_ideal(a.ring)
@@ -319,7 +302,7 @@ def _general_chain(ring, ideals_with_lambda, caps: Caps) -> TestIdealResult:
                 if e == 1:
                     raise
                 return  # chain truncated by the degree cap: cap-reached below
-            yield e, frobenius_root(power, FrobeniusContext(ring.field, e))
+            yield e, frobenius_root(power, e)
 
     # reduced Groebner keys, not Ideal.__eq__, which would add normal forms
     ideal, first_e, stable = stabilize(
@@ -405,8 +388,7 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
     lam_max = check_lambda(lam_max)
     if a.is_zero():
         raise DomainError("jumping numbers require a nonzero ideal")
-    if type(denom_bound) is not int or denom_bound < 1:
-        raise DomainError(f"denom_bound must be a positive integer, got {denom_bound!r}")
+    require_int(denom_bound, "denom_bound")
     # the grid has sum_{d <= D} floor(lam_max * d) points; bound it before
     # lcm(1..D) is formed
     grid_bound = lam_max * denom_bound * (denom_bound + 1) / 2
@@ -467,10 +449,8 @@ def ceil_split(lam, m: int, p: int, e: int) -> CeilSplit:
     ceil(lam p^e / m) = a*s + ceil(a*t/(b*m)).  Both sides are returned and
     asserted equal."""
     lam = check_lambda(lam)
-    if m < 1:
-        raise DomainError("m must be a positive integer")
-    if e < 0:
-        raise DomainError("e must be >= 0")
+    require_int(m, "m")
+    require_int(e, "e", least=0)
     PrimeField(p)  # validates primality
     a, b = lam.numerator, lam.denominator
     q = p ** e

@@ -19,7 +19,8 @@ from math import gcd, inf
 
 from .asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_test_ideal, ord_along
 from .caps import DEFAULT_CAPS, Caps
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, require_int
+from .field import PrimeField
 from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
                         check_lambda, stabilize, worst_evidence)
 from .ideal import Ideal, ideal_contains, monomial_ideal, zero_ideal
@@ -730,9 +731,8 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
 
     Disagreement raises: the three characterizations are theorems, so a
     mismatch is an implementation bug, not data."""
-    if type(tau_level_cap) is not int or tau_level_cap < 1:
-        raise DomainError(f"tau_level_cap must be a positive integer, "
-                          f"got {tau_level_cap!r}")
+    require_int(tau_level_cap, "tau_level_cap")
+    PrimeField(p)  # validates p before D is classified
     a = _perturbation(fan, ample)
     cls = classify_divisor(fan, d)
     if not cls.pseudo_effective:

@@ -15,7 +15,7 @@ from itertools import product as iter_product
 from .asymptotic import (CoordinateSubvariety, GradedSequence,
                          asymptotic_test_ideal, check_estimate_order)
 from .caps import DEFAULT_CAPS, Caps
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, require_int
 from .frobenius import EVIDENCE_CAP, ceil_split, test_ideal
 from .ideal import Ideal, ideal_contains, ideal_power, ideal_product, monomial_ideal
 from .poly import ring
@@ -264,11 +264,9 @@ def run_suite(name: str, seed: int = 0, budget: int = None,
     seed.  Returns a list of SuiteResult."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; have {SUITES}")
-    if budget is not None and (type(budget) is not int or budget < 1):
-        raise DomainError(f"budget must be a positive integer, got {budget!r}")
     names = [s for s in SUITES if s != "all"] if name == "all" else [name]
     out = []
     for n in names:
-        b = budget if budget is not None else _DEFAULT_BUDGETS[n]
+        b = _DEFAULT_BUDGETS[n] if budget is None else require_int(budget, "budget")
         out.append(_RUNNERS[n](seed, b, caps))
     return out

@@ -12,10 +12,9 @@ from itertools import product as iter_product
 
 import pytest
 
-from nonnef import FrobeniusContext, f_jumping_numbers, frobenius_root, parse_ideal
+from nonnef import f_jumping_numbers, frobenius_root, parse_ideal
 from nonnef.asymptotic import (CoordinateSubvariety, GradedSequence,
                                check_compute_test, check_estimate_order, ord_along)
-from nonnef.field import PrimeField
 from nonnef.frobenius import ceil_times
 from nonnef.ideal import monomial_ideal
 from nonnef.poly import ring
@@ -38,12 +37,11 @@ def test_criterion_1_smooth_divisor_closed_form():
     checked = 0
     for p in (2, 3, 5):
         amb = ring(p, "x")
-        ctx_cache = {e: FrobeniusContext(PrimeField(p), e) for e in range(1, 6)}
         for m in range(1, 61):
             a = monomial_ideal(amb, {(m,)})
             for e in range(1, 6):
                 expected = m // p ** e
-                got = frobenius_root(a, ctx_cache[e])
+                got = frobenius_root(a, e)
                 assert got.monomials == frozenset({(expected,)}), (p, m, e)
                 checked += 1
     assert checked == 3 * 60 * 5

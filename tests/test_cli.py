@@ -227,6 +227,42 @@ class TestExitCodes:
         assert code == 1 and payload["kind"] == "DomainError"
         assert "budget" in payload["error"]
 
+    @pytest.mark.parametrize("argv, code", [
+        (["toric-classify", "--fan", "builtin:f2", "--divisor", "-1,1,0,1"], 0),
+        (["nonnef", "--fan", "builtin:p2", "--divisor", "-1,0,0"], 0),
+        (["sigma", "--fan", "builtin:p2", "--divisor", "1,0,0", "--cone", "0",
+          "--ample", "-1,2,2"], 0),
+        (["tau", "--ideal", "p=2; vars=x; gens=[x]", "--lambda", "-1/2"], 1),
+    ], ids=["toric-classify", "nonnef", "sigma-ample", "tau-lambda"])
+    def test_negative_value_after_its_option(self, argv, code):
+        got, out = run_cli(["--json"] + argv)
+        report = json.loads(out)
+        assert got == report["exit_code"] == code
+        assert argv[-1] in report["args"].values()
+        if code:
+            assert report["result"]["kind"] == "DomainError"
+
+    def test_composite_characteristic_is_domain_error(self):
+        code, out = run_cli(["--json", "nonnef", "--fan", "builtin:p2",
+                             "--divisor=-1,0,0", "--p", "4"])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert "prime" in payload["error"]
+
+    def test_negative_frobenius_iterate_is_domain_error(self):
+        code, out = run_cli(["--json", "root", "--ideal", "p=3; vars=x,y; gens=[x^2*y]",
+                             "--e", "-1"])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+
+    def test_deep_monomial_root_answers_at_once(self):
+        start = time.perf_counter()
+        code, out = run_cli(["--json", "root", "--ideal", "p=3; vars=x,y; gens=[x^2*y]",
+                             "--e", "1000000000"])
+        assert code == 0
+        assert json.loads(out)["result"]["ideal"] == "p=3; vars=x,y; gens=[1]"
+        assert time.perf_counter() - start < 0.5
+
     def test_huge_jump_grid_is_resource_limit(self):
         start = time.perf_counter()
         code, out = run_cli(["--json", "jumps", "--ideal", "p=2; vars=x,y; gens=[x^2, y^3]",

@@ -4,12 +4,17 @@ import random
 
 import pytest
 
-from nonnef import (ContractError, DomainError, groebner_basis, ideal_contains,
-                    ideal_equal, ideal_power, ideal_product, monomial_ideal,
-                    parse_ideal, parse_poly, ring, unit_ideal, zero_ideal)
+from nonnef import (ContractError, DomainError, PrimeField, ceil_split,
+                    f_jumping_numbers, frobenius_power, frobenius_root,
+                    groebner_basis, ideal_contains, ideal_equal, ideal_power,
+                    ideal_product, monomial_ideal, parse_ideal, parse_poly, ring,
+                    unit_ideal, zero_ideal)
+from nonnef.asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_ord
 from nonnef.caps import DEFAULT_CAPS, ENV_VARS, Caps, caps_from_env
 from nonnef.groebner import buchberger
 from nonnef.poly import Polynomial, grevlex_key, min_antichain
+from nonnef.toric import ToricDivisor, builtin_fan, non_nef_locus
+from nonnef.verify import run_suite
 
 R2 = ring(2, "x", "y")
 R3 = ring(3, "x", "y")
@@ -185,6 +190,10 @@ class TestGrammar:
         with pytest.raises(DomainError, match="prime"):
             I("p=4; vars=x; gens=[x]")
 
+    def test_float_characteristic_rejected(self):
+        with pytest.raises(DomainError, match="characteristic p"):
+            ring(2.0, "x", "y")
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(DomainError, match="position"):
             I("p=2; vars=x; gens=[x &]")
@@ -254,3 +263,31 @@ class TestCaps:
         monkeypatch.setenv("NONNEF_EPSILON_DEPTH", "0")
         with pytest.raises(DomainError, match="epsilon_depth"):
             caps_from_env()
+
+
+# (argument name, least legal value, call with the value under test)
+_INTEGER_ARGUMENTS = [
+    *((f"cap {field}", 1, lambda v, field=field: Caps(**{field: v}))
+      for field in sorted(ENV_VARS.values())),
+    ("denom_bound", 1, lambda v: f_jumping_numbers(I("p=2; vars=x; gens=[x]"), 1, v)),
+    ("tau_level_cap", 1, lambda v: non_nef_locus(builtin_fan("p2"), ToricDivisor((1, 0, 0)),
+                                                 tau_level_cap=v)),
+    ("budget", 1, lambda v: run_suite("ceil-identity", 0, v)),
+    ("m", 1, lambda v: ceil_split(1, v, 2, 3)),
+    ("e", 0, lambda v: ceil_split(1, 3, 2, v)),
+    ("Frobenius iterate e", 0, lambda v: frobenius_root(I("p=2; vars=x,y; gens=[x^5*y^3]"), v)),
+    ("Frobenius iterate e", 0, lambda v: frobenius_power(I("p=2; vars=x,y; gens=[x^5*y^3]"), v)),
+    ("m_cap", 1, lambda v: asymptotic_ord(GradedSequence.power(I("p=2; vars=x; gens=[x]")),
+                                          CoordinateSubvariety((0,)), v)),
+    ("characteristic p", 2, lambda v: PrimeField(v)),
+]
+
+
+@pytest.mark.parametrize("bad", ["below", 2.5, True], ids=["below-least", "float", "bool"])
+@pytest.mark.parametrize("name, least, call", _INTEGER_ARGUMENTS,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(_INTEGER_ARGUMENTS)])
+def test_integer_arguments_follow_one_rule(name, least, call, bad):
+    value = least - 1 if bad == "below" else bad
+    with pytest.raises(DomainError, match=f"^{name} must be "):
+        call(value)
+    call(least)  # the least value itself is accepted

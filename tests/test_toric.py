@@ -494,6 +494,15 @@ def test_non_primitive_ray_rejected():
         Fan([(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
 
+@pytest.mark.parametrize("p, message", [(4, "prime"), (2.5, "characteristic p")],
+                         ids=["composite", "float"])
+@pytest.mark.parametrize("coefficients", [(-1, 0, 0), (1, 0, 0)],
+                         ids=["not-pseudo-effective", "ample"])
+def test_non_nef_locus_checks_the_characteristic_first(p, message, coefficients):
+    with pytest.raises(DomainError, match=message):
+        non_nef_locus(builtin_fan("p2"), divisor(*coefficients), p=p)
+
+
 @pytest.mark.parametrize("cap", [0, -1, Fraction(2)], ids=["zero", "negative", "fraction"])
 def test_non_positive_tau_level_cap_is_domain_error(cap):
     with pytest.raises(DomainError, match="tau_level_cap"):
