@@ -116,9 +116,7 @@ class GradedSequence:
 
     def term(self, m: int) -> Ideal:
         """a_m, after spot-checking superadditivity on every split of m."""
-        if m < 1:
-            raise DomainError("graded sequences are indexed from m = 1")
-        value = self._raw(m)
+        value = self._raw(require_int(m, "sequence index m"))
         if self.kind != "power" and m not in self._validated:
             with self._lock:
                 for m1 in range(1, m // 2 + 1):

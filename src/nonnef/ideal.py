@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 
 from .caps import DEFAULT_CAPS
-from .errors import ContractError, DomainError, ResourceLimitError
+from .errors import ContractError, DomainError, ResourceLimitError, require_int
 from .groebner import buchberger, normal_form
 from .poly import (Polynomial, Ring, grevlex_key, min_antichain,
                    mono_divides, mono_mul)
@@ -145,9 +145,7 @@ def monomial_power_gens(monos: frozenset, n: int) -> frozenset:
 
 def ideal_power(a: Ideal, n: int, caps=DEFAULT_CAPS) -> Ideal:
     """a^n; a^0 is the unit ideal even for a = 0."""
-    if n < 0:
-        raise DomainError("negative ideal power")
-    if n == 0:
+    if require_int(n, "ideal power n", least=0) == 0:
         return unit_ideal(a.ring)
     if a.is_zero():
         return zero_ideal(a.ring)

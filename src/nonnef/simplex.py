@@ -1,10 +1,20 @@
-"""Two-phase simplex over exact rationals.
+"""Two-phase simplex with integer pivots and exact rational results.
 
 Free variables are split into positive parts, inequalities get surplus
 columns, and both phases pivot under Bland's rule (smallest eligible
-index), which guarantees termination without any tolerance.  Problem sizes
-here are tiny (section polytopes of fans with at most a handful of rays),
-so the tableau recomputes reduced costs on every pivot for simplicity.
+index), which guarantees termination without any tolerance.
+
+The tableau is fraction-free.  Each row is a list of integers whose
+rational value is the row divided by its entry in the row's basic column,
+a positive per-row denominator; a pivot combines rows by cross-
+multiplication and then divides each changed row by the gcd of its
+entries.  The ratio test compares by cross-multiplication, and the
+reduced-cost row is carried as an integer row, a positive multiple of the
+reduced costs, that every pivot updates like a tableau row.  The basis
+determines the reduced costs, so their signs, and every Bland choice, are
+those of a tableau over `Fraction`.  `Fraction` appears only where
+constraints and objectives are scaled in and where the value and point are
+read out.
 
 Phase 1 depends only on the constraints.  A `Polytope` runs it once and
 answers every later objective by phase 2 from a copy of its basis, so a
@@ -17,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ContractError
 
@@ -32,45 +43,70 @@ class LPResult:
     point: tuple = None    # optimizer in the original free variables
 
 
-def _pivot(rows, rhs, basis, r, c):
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
-    rhs[r] = rhs[r] / piv
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-            rhs[i] = rhs[i] - f * rhs[r]
+def _integers(values):
+    """(scale * values, scale) for Fractions, scale the least common
+    denominator."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _reduce(row):
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _eliminate(row, pivot_row, c):
+    """A positive multiple of row minus the multiple of pivot_row (pivot
+    entry pivot_row[c] > 0) that clears column c, divided by its gcd."""
+    piv, f = pivot_row[c], row[c]
+    return _reduce([piv * v - f * w for v, w in zip(row, pivot_row)])
+
+
+def _pivot(rows, basis, r, c):
+    """Make column c basic in row r.  Each row holds its right-hand side
+    last; row i stands for rows[i] / rows[i][basis[i]]."""
+    if rows[r][c] < 0:
+        rows[r] = [-v for v in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c] != 0:
+            rows[i] = _eliminate(row, rows[r], c)
     basis[r] = c
 
 
-def _run_simplex(rows, rhs, basis, cost):
-    """Minimize cost over the current basic feasible tableau (Bland's rule).
-    Returns OPTIMAL or UNBOUNDED; mutates the tableau in place."""
-    ncols = len(cost)
+def _reduced_costs(rows, basis, cost):
+    """A positive integer multiple of cost - sum_i cost[basis[i]] * row_i,
+    the rows read over their denominators."""
+    dens = [row[b] for row, b in zip(rows, basis)]
+    scale = lcm(*(den for den, b in zip(dens, basis) if cost[b] != 0))
+    z = [scale * v for v in cost]
+    for row, b, den in zip(rows, basis, dens):
+        f = cost[b] * (scale // den)
+        if f != 0:
+            z = [v - f * w for v, w in zip(z, row)]
+    return _reduce(z)
+
+
+def _run_simplex(rows, basis, cost):
+    """Minimize cost (integers) over the current basic feasible tableau
+    (Bland's rule).  Returns OPTIMAL or UNBOUNDED; mutates the tableau in
+    place."""
+    z = _reduced_costs(rows, basis, cost)
     while True:
-        reduced = list(cost)
-        for i, b in enumerate(basis):
-            cb = cost[b]
-            if cb != 0:
-                row = rows[i]
-                for j in range(ncols):
-                    if row[j] != 0:
-                        reduced[j] -= cb * row[j]
-        entering = next((j for j in range(ncols) if reduced[j] < 0), None)
+        entering = next((j for j, v in enumerate(z) if v < 0), None)
         if entering is None:
             return OPTIMAL
         leaving = None
-        best = None
-        for i in range(len(rows)):
-            a = rows[i][entering]
-            if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best, leaving = ratio, i
+        for i, row in enumerate(rows):
+            a = row[entering]
+            # least ratio rhs / a over a > 0, by cross-multiplication; ties
+            # go to the smaller basic index
+            if a > 0 and (leaving is None
+                          or (row[-1] * best_a, basis[i]) < (best_rhs * a, basis[leaving])):
+                leaving, best_rhs, best_a = i, row[-1], a
         if leaving is None:
             return UNBOUNDED
-        _pivot(rows, rhs, basis, leaving, entering)
+        _pivot(rows, basis, leaving, entering)
+        z = _eliminate(z, rows[leaving], entering)
 
 
 class Polytope:
@@ -84,41 +120,36 @@ class Polytope:
 
     def __init__(self, constraints, n):
         self.n = n
-        cons = [([Fraction(c) for c in a], Fraction(b)) for a, b in constraints]
+        cons = [_integers([Fraction(c) for c in a] + [Fraction(b)]) for a, b in constraints]
         m = len(cons)
         width = 2 * n + m          # x+ columns, x- columns, surplus columns
-        rows, rhs = [], []
-        for i, (a, b) in enumerate(cons):
-            row = [Fraction(0)] * width
-            for j in range(n):
-                row[j] = a[j]
-                row[n + j] = -a[j]
-            row[2 * n + i] = Fraction(-1)
-            if b < 0:
-                row = [-v for v in row]
-                b = -b
-            rows.append(row)
-            rhs.append(b)
 
-        # phase 1: artificial basis
-        for i in range(m):
-            rows[i] = rows[i] + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        # phase 1: artificial basis.  Row i is constraint i scaled by s_i > 0,
+        # so its surplus entry is -s_i and its artificial entry, its
+        # denominator, is s_i
+        tableau = []
+        for i, (ints, s) in enumerate(cons):
+            sign = -1 if ints[-1] < 0 else 1
+            a = [sign * v for v in ints[:n]]
+            row = a + [-v for v in a] + [0] * (2 * m) + [sign * ints[-1]]
+            row[2 * n + i] = -sign * s
+            row[width + i] = s
+            tableau.append(row)
         basis = list(range(width, width + m))
-        cost1 = [Fraction(0)] * width + [Fraction(1)] * m
-        if _run_simplex(rows, rhs, basis, cost1) != OPTIMAL:
+        cost1 = [0] * width + [1] * m
+        if _run_simplex(tableau, basis, cost1) != OPTIMAL:
             raise ContractError("phase-1 objective cannot be unbounded")
-        self.feasible = sum(rhs[i] for i in range(m) if basis[i] >= width) == 0
+        self.feasible = all(tableau[i][-1] == 0 for i in range(m) if basis[i] >= width)
         if not self.feasible:
             return
         # drive lingering artificials out of the basis
         for i in range(m):
             if basis[i] >= width:
-                c = next((j for j in range(width) if rows[i][j] != 0), None)
+                c = next((j for j in range(width) if tableau[i][j] != 0), None)
                 if c is not None:
-                    _pivot(rows, rhs, basis, i, c)
+                    _pivot(tableau, basis, i, c)
         keep = [i for i in range(m) if basis[i] < width]
-        self._rows = [rows[i][:width] for i in keep]
-        self._rhs = [rhs[i] for i in keep]
+        self._rows = [tableau[i][:width] + tableau[i][-1:] for i in keep]
         self._basis = [basis[i] for i in keep]
         self._surplus = m
 
@@ -129,13 +160,13 @@ class Polytope:
             return LPResult(INFEASIBLE)
         n = self.n
         objective = [Fraction(c) for c in objective]
-        rows = [list(r) for r in self._rows]
-        rhs = list(self._rhs)
+        rows = list(self._rows)    # pivots replace rows, never edit one
         basis = list(self._basis)
-        cost2 = objective + [-c for c in objective] + [Fraction(0)] * self._surplus
-        if _run_simplex(rows, rhs, basis, cost2) == UNBOUNDED:
+        cost, _ = _integers(objective)
+        cost2 = cost + [-c for c in cost] + [0] * self._surplus
+        if _run_simplex(rows, basis, cost2) == UNBOUNDED:
             return LPResult(UNBOUNDED)
-        values = {b: rhs[i] for i, b in enumerate(basis)}
+        values = {b: Fraction(row[-1], row[b]) for row, b in zip(rows, basis)}
         x = tuple(values.get(j, Fraction(0)) - values.get(n + j, Fraction(0))
                   for j in range(n))
         return LPResult(OPTIMAL, sum(c * v for c, v in zip(objective, x)), x)

@@ -25,7 +25,7 @@ from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
                         check_lambda, stabilize, worst_evidence)
 from .ideal import Ideal, ideal_contains, monomial_ideal, zero_ideal
 from .newton import _det, _orthogonal_normal, _primitive
-from .poly import min_antichain, ring
+from .poly import mono_divides, ring
 from .simplex import INFEASIBLE, OPTIMAL, Polytope, solve_lp
 
 
@@ -220,8 +220,11 @@ class ToricDivisor:
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           tuple(Fraction(c) for c in self.coefficients))
+        coefficients = tuple(self.coefficients)
+        for c in coefficients:
+            if isinstance(c, (bool, float)):
+                raise DomainError(f"divisor coefficients must be exact rationals, got {c!r}")
+        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in coefficients))
 
     def scale(self, k) -> "ToricDivisor":
         return ToricDivisor(tuple(k * c for c in self.coefficients))
@@ -416,22 +419,33 @@ def _slice(cons, w1):
 
 
 def _lattice_minimals_rec(cons, n):
-    """Minimal lattice points (componentwise order) of the polytope cut out
-    by the integer constraints c.w >= r, which bound it below by w >= 0."""
+    """Minimal lattice points (componentwise order) of the bounded region
+    {w >= 0 : c.w >= r} cut out by integer constraints (c, r).
+
+    Slices are scanned by increasing w1, so a point (w1, t) is minimal
+    exactly when t is minimal in its slice and no tail kept from an earlier
+    slice divides t.  Once the zero tail appears, every later point is
+    dominated by it and the scan stops."""
     if n == 0:
         return frozenset() if any(r > 0 for _, r in cons) else frozenset([()])
     rng = _fm_first_range(cons, n)
     if rng is None:
         return frozenset()
     lo, hi = rng
-    out = set()
+    zero = (0,) * (n - 1)
+    kept = []                                 # tails of earlier slices
+    out = []
     for w1 in range(max(0, lo), hi + 1):
         sliced = _slice(cons, w1)
         if sliced is None:
             continue
-        for tail in _lattice_minimals_rec(sliced, n - 1):
-            out.add((w1,) + tail)
-    return min_antichain(out)
+        fresh = [t for t in _lattice_minimals_rec(sliced, n - 1)
+                 if not any(mono_divides(s, t) for s in kept)]
+        kept += fresh
+        out += [(w1,) + t for t in fresh]
+        if zero in fresh:
+            break
+    return frozenset(out)
 
 
 def _lattice_feasible_rec(cons, n) -> bool:
@@ -472,6 +486,7 @@ def chart_ideal(fan: Fan, d: ToricDivisor, level: int, cone, p: int = 2) -> Idea
     """The base-locus ideal of |level*D| restricted to the chart of `cone`,
     as a monomial ideal in F_p[x_i : i in cone]: the minimal lattice points
     of the chart-coordinate section system generate."""
+    require_int(level, "level")
     cone = tuple(sorted(cone))
     if cone not in fan.max_cones:
         raise DomainError("chart must be a maximal cone")
@@ -732,6 +747,11 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     Disagreement raises: the three characterizations are theorems, so a
     mismatch is an implementation bug, not data."""
     require_int(tau_level_cap, "tau_level_cap")
+    grid = tuple(eps_grid)
+    if not grid or any(type(e) not in (int, Fraction) or e <= 0 for e in grid):
+        raise DomainError(f"eps_grid must be a nonempty sequence of positive ints or "
+                          f"Fractions, got {grid!r}")
+    grid = sorted(grid, reverse=True)
     PrimeField(p)  # validates p before D is classified
     a = _perturbation(fan, ample)
     cls = classify_divisor(fan, d)
@@ -756,12 +776,11 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
 
     # method 3 once per eps
     sbl_members = {}
-    for eps in sorted(eps_grid, reverse=True):
+    for eps in grid:
         rep = stable_base_locus(fan, d + a.scale(eps), caps)
         if not rep.certified:
             evidences.append(EVIDENCE_CAP)
         sbl_members[eps] = set(rep.members)
-    grid = sorted(eps_grid, reverse=True)
     for big_eps, small_eps in zip(grid, grid[1:]):
         if not sbl_members[big_eps] <= sbl_members[small_eps]:
             raise ContractError("perturbed base loci must grow as eps shrinks")

@@ -173,3 +173,101 @@ def pseudo_effective_by_eps_lp(rays, coeffs, ample):
     rows = [(tuple(v) + (a,), -c) for v, c, a in zip(rays, coeffs, ample)]
     least, _ = lp_min_by_vertices([0] * n + [1], rows, n + 1)
     return least is not None and least <= 0
+
+
+def fraction_simplex(objective, constraints, n):
+    """The two-phase simplex on a `Fraction` tableau, reduced costs
+    recomputed before every pivot, Bland's rule in both phases; an
+    independent copy of the production LP's rules without its integer
+    arithmetic.  Returns (status, value, point, pivots), value and point
+    None unless status is "optimal"."""
+    pivots = 0
+
+    def pivot(rows, rhs, basis, r, c):
+        nonlocal pivots
+        pivots += 1
+        piv = rows[r][c]
+        rows[r] = [v / piv for v in rows[r]]
+        rhs[r] = rhs[r] / piv
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+                rhs[i] = rhs[i] - f * rhs[r]
+        basis[r] = c
+
+    def run(rows, rhs, basis, cost):
+        ncols = len(cost)
+        while True:
+            reduced = list(cost)
+            for i, b in enumerate(basis):
+                for j in range(ncols):
+                    reduced[j] -= cost[b] * rows[i][j]
+            entering = next((j for j in range(ncols) if reduced[j] < 0), None)
+            if entering is None:
+                return "optimal"
+            leaving, best = None, None
+            for i in range(len(rows)):
+                a = rows[i][entering]
+                if a > 0:
+                    ratio = rhs[i] / a
+                    if best is None or ratio < best or (ratio == best
+                                                        and basis[i] < basis[leaving]):
+                        best, leaving = ratio, i
+            if leaving is None:
+                return "unbounded"
+            pivot(rows, rhs, basis, leaving, entering)
+
+    cons = [([Fraction(c) for c in a], Fraction(b)) for a, b in constraints]
+    m = len(cons)
+    width = 2 * n + m
+    rows, rhs = [], []
+    for i, (a, b) in enumerate(cons):
+        row = a[:n] + [-v for v in a[:n]] + [Fraction(0)] * m
+        row[2 * n + i] = Fraction(-1)
+        if b < 0:
+            row, b = [-v for v in row], -b
+        rows.append(row + [Fraction(int(k == i)) for k in range(m)])
+        rhs.append(b)
+    basis = list(range(width, width + m))
+    run(rows, rhs, basis, [Fraction(0)] * width + [Fraction(1)] * m)
+    if sum(rhs[i] for i in range(m) if basis[i] >= width) != 0:
+        return "infeasible", None, None, pivots
+    for i in range(m):
+        if basis[i] >= width:
+            c = next((j for j in range(width) if rows[i][j] != 0), None)
+            if c is not None:
+                pivot(rows, rhs, basis, i, c)
+    keep = [i for i in range(m) if basis[i] < width]
+    rows = [rows[i][:width] for i in keep]
+    rhs = [rhs[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    obj = [Fraction(c) for c in objective]
+    if run(rows, rhs, basis, obj + [-c for c in obj] + [Fraction(0)] * m) == "unbounded":
+        return "unbounded", None, None, pivots
+    values = {b: rhs[i] for i, b in enumerate(basis)}
+    x = tuple(values.get(j, Fraction(0)) - values.get(n + j, Fraction(0)) for j in range(n))
+    return "optimal", sum(c * v for c, v in zip(obj, x)), x, pivots
+
+
+def lattice_minimals_by_enumeration(cons, n):
+    """Minimal lattice points (componentwise order) of {w >= 0 : c.w >= r}
+    for integer rows (c, r): the bounding box from vertex enumeration,
+    every integer point in it, and a plain pairwise comparison.  The
+    region must be bounded."""
+    from itertools import product
+    from math import ceil, floor
+
+    rows = list(cons) + [(tuple(int(k == j) for k in range(n)), 0) for j in range(n)]
+    box = []
+    for j in range(n):
+        unit = [int(k == j) for k in range(n)]
+        low, _ = lp_min_by_vertices(unit, rows, n)
+        if low is None:
+            return frozenset()
+        high, _ = lp_min_by_vertices([-u for u in unit], rows, n)
+        box.append(range(ceil(low), floor(-high) + 1))
+    points = [w for w in product(*box)
+              if all(sum(a * x for a, x in zip(c, w)) >= r for c, r in rows)]
+    return frozenset(m for m in points
+                     if not any(q != m and all(a <= b for a, b in zip(q, m)) for q in points))

@@ -13,7 +13,8 @@ from nonnef.asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_o
 from nonnef.caps import DEFAULT_CAPS, ENV_VARS, Caps, caps_from_env
 from nonnef.groebner import buchberger
 from nonnef.poly import Polynomial, grevlex_key, min_antichain
-from nonnef.toric import ToricDivisor, builtin_fan, non_nef_locus
+from nonnef.toric import (InvariantSubvariety, ToricDivisor, base_locus_ord, builtin_fan,
+                          chart_ideal, non_nef_locus)
 from nonnef.verify import run_suite
 
 R2 = ring(2, "x", "y")
@@ -280,6 +281,13 @@ _INTEGER_ARGUMENTS = [
     ("m_cap", 1, lambda v: asymptotic_ord(GradedSequence.power(I("p=2; vars=x; gens=[x]")),
                                           CoordinateSubvariety((0,)), v)),
     ("characteristic p", 2, lambda v: PrimeField(v)),
+    ("ideal power n", 0, lambda v: ideal_power(I("p=2; vars=x,y; gens=[x + y^2, x*y]"), v)),
+    ("ideal power n", 0, lambda v: ideal_power(I("p=2; vars=x,y; gens=[x^2, y]"), v)),
+    ("sequence index m", 1, lambda v: GradedSequence.power(I("p=2; vars=x; gens=[x]")).term(v)),
+    ("level", 1, lambda v: chart_ideal(builtin_fan("f1"), ToricDivisor((0, 0, 0, 1)), v,
+                                       (0, 3))),
+    ("level", 1, lambda v: base_locus_ord(builtin_fan("f1"), ToricDivisor((0, 0, 0, 1)), v,
+                                          InvariantSubvariety((3,)))),
 ]
 
 

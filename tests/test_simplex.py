@@ -1,10 +1,14 @@
-"""Exact simplex against an independent vertex-enumeration oracle."""
+"""Exact simplex against an independent vertex-enumeration oracle and a
+`Fraction` tableau."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
+from nonnef import simplex
 from nonnef.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, Polytope, solve_lp
-from oracles import lp_min_by_vertices
+from oracles import fraction_simplex, lp_min_by_vertices
 
 
 def test_triangle_minimum():
@@ -113,3 +117,55 @@ def test_minimize_leaves_the_polytope_reusable():
     assert poly.minimize((0, -1)).value == -2
     assert poly.minimize((-1, 0)) == first == LPResult(OPTIMAL, -2, (2, 0))
     assert solve_lp((-1, -1), cons, 2).value == -2
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """The number of `simplex._pivot` calls since the last reset."""
+    count = [0]
+    pivot = simplex._pivot
+
+    def counting(*args):
+        count[0] += 1
+        pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    return count
+
+
+def _solve_counted(obj, cons, n, pivots):
+    pivots[0] = 0
+    res = solve_lp(obj, cons, n)
+    return res.status, res.value, res.point, pivots[0]
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fractional"])
+def test_integer_tableau_pivots_like_the_fraction_tableau(pivots, fractional):
+    rng = random.Random(2024 + fractional)
+
+    def entry():
+        v = rng.randrange(-4, 5)
+        return Fraction(v, rng.randrange(1, 6)) if fractional else v
+
+    statuses = set()
+    for _ in range(400):
+        n, m = rng.randrange(1, 5), rng.randrange(1, 8)
+        cons = [([entry() for _ in range(n)], entry()) for _ in range(m)]
+        obj = [entry() for _ in range(n)]
+        want = fraction_simplex(obj, cons, n)
+        assert _solve_counted(obj, cons, n, pivots) == want, (obj, cons)
+        statuses.add(want[0])
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_large_entries_pivot_like_the_fraction_tableau(pivots):
+    # entries near 10^12 with large common factors: every pivot row is
+    # divided down by the gcd of its entries
+    big = 10 ** 12
+    cons = [((big, big + 6), 3 * big), ((big - 4, -big), -2 * big),
+            ((-big - 2, big // 2), -5 * big), ((Fraction(big, 7), 3), 1),
+            ((0, 1), 0), ((1, 0), 0)]
+    for obj in ((1, 1), (-1, 2), (big + 1, -big), (-3, -1)):
+        want = fraction_simplex(obj, cons, 2)
+        assert want[0] == OPTIMAL
+        assert _solve_counted(obj, cons, 2, pivots) == want

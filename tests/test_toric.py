@@ -7,14 +7,14 @@ from math import inf
 import pytest
 
 from nonnef import Caps, DomainError
-from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor, _perturbation,
-                          asymptotic_ord_toric, base_locus_ord, blowup_lab,
-                          builtin_fan, chart_ideal, classify_divisor,
-                          divisor, non_nef_locus, sigma, stable_base_locus,
-                          tau_plus_toric, tau_toric)
+from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor, _chart_system,
+                          _lattice_minimals_rec, _perturbation, asymptotic_ord_toric,
+                          base_locus_ord, blowup_lab, builtin_fan, chart_ideal,
+                          classify_divisor, divisor, non_nef_locus, sigma,
+                          stable_base_locus, tau_plus_toric, tau_toric)
 from nonnef.simplex import Polytope
-from oracles import (big_by_vertices, effective_by_vertices, lp_min_by_vertices,
-                     pseudo_effective_by_eps_lp)
+from oracles import (big_by_vertices, effective_by_vertices, lattice_minimals_by_enumeration,
+                     lp_min_by_vertices, pseudo_effective_by_eps_lp)
 
 E_SUB = InvariantSubvariety((3,))
 FANS = ("p2", "p1xp1", "f1", "f2", "p3")
@@ -414,6 +414,50 @@ class TestChartIdeals:
             assert vals[0] == vals[1] == m
 
 
+def _random_integer_systems(seed, count):
+    """(rows, n) in dimensions 1-3: each coordinate between a lower bound in
+    -2..1 and an upper bound in 1..4, plus one or two rows with mostly
+    positive coefficients, so that empty, unit, principal and
+    non-principal staircases all occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 4)
+        rows = []
+        for j in range(n):
+            unit = tuple(int(k == j) for k in range(n))
+            rows.append((unit, rng.randrange(-2, 2)))
+            rows.append((tuple(-u for u in unit), -rng.randrange(1, 5)))
+        for _ in range(rng.randrange(1, 3)):
+            rows.append((tuple(rng.choice((-1, 0, 1, 1, 2, 3)) for _ in range(n)),
+                         rng.randrange(-2, 7)))
+        yield rows, n
+
+
+class TestLatticeStaircase:
+    def test_random_systems_match_enumeration(self):
+        shapes = set()
+        for rows, n in _random_integer_systems(3, 100):
+            got = _lattice_minimals_rec(rows, n)
+            assert got == lattice_minimals_by_enumeration(rows, n), rows
+            shapes.add("empty" if not got else "unit" if got == {(0,) * n}
+                       else "principal" if len(got) == 1 else "staircase")
+            if got and rows[0][1] < 0:
+                shapes.add("first range below 0")
+        assert shapes == {"empty", "unit", "principal", "staircase", "first range below 0"}
+
+    def test_chart_systems_match_enumeration(self):
+        rng = random.Random(7)
+        for name in ("p2", "p1xp1", "f1", "f2", "p3"):
+            fan = builtin_fan(name)
+            for _ in range(2):
+                d = ToricDivisor(tuple(rng.randrange(-1, 3) for _ in fan.rays))
+                for level in (1, 2, 3, 4):
+                    for cone in fan.max_cones:
+                        rows = _chart_system(fan, d, level, cone)
+                        assert (_lattice_minimals_rec(rows, fan.dim)
+                                == lattice_minimals_by_enumeration(rows, fan.dim)), (name, d)
+
+
 class TestLatticeLPCrossCheck:
     def test_level_minima_hit_the_lp_value(self):
         # on fans whose section polytopes have integral vertices the
@@ -507,3 +551,34 @@ def test_non_nef_locus_checks_the_characteristic_first(p, message, coefficients)
 def test_non_positive_tau_level_cap_is_domain_error(cap):
     with pytest.raises(DomainError, match="tau_level_cap"):
         non_nef_locus(builtin_fan("f1"), divisor(0, 0, 2, 1), tau_level_cap=cap)
+
+
+@pytest.mark.parametrize("grid", [(), (0,), (-1,), (0.5,), (True,), (Fraction(1, 8), 0)],
+                         ids=["empty", "zero", "negative", "float", "bool", "zero-after-legal"])
+def test_eps_grid_must_hold_positive_exact_values(grid):
+    with pytest.raises(DomainError, match="^eps_grid must be"):
+        non_nef_locus(builtin_fan("f1"), divisor(0, 0, 0, 1), eps_grid=grid)
+
+
+def test_eps_grid_accepts_ints_fractions_and_an_iterator():
+    fan, d = builtin_fan("f1"), divisor(0, 0, 0, 1)
+    members = non_nef_locus(fan, d).members
+    assert non_nef_locus(fan, d, eps_grid=(1, Fraction(1, 3))).members == members
+    assert non_nef_locus(fan, d, eps_grid=iter((Fraction(1, 8), Fraction(1, 16)))).members == members
+
+
+@pytest.mark.parametrize("level", [-1, 0, 2.5, True])
+def test_chart_level_must_be_a_positive_integer(level):
+    fan = builtin_fan("p2")
+    with pytest.raises(DomainError, match="^level must be a positive integer"):
+        chart_ideal(fan, divisor(1, 0, 0), level, (0, 1))
+    with pytest.raises(DomainError, match="^level must be a positive integer"):
+        base_locus_ord(fan, divisor(1, 0, 0), level, InvariantSubvariety((0,)))
+
+
+@pytest.mark.parametrize("coefficient", [0.1, 0.5, True, False])
+def test_divisor_coefficients_must_be_exact(coefficient):
+    with pytest.raises(DomainError, match="exact rationals"):
+        divisor(coefficient, 0, 0)
+    with pytest.raises(DomainError, match="exact rationals"):
+        ToricDivisor((1, coefficient, Fraction(1, 2)))
