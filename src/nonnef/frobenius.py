@@ -24,6 +24,14 @@ Taking p-th roots one at a time turns this into a recursion whose N shrinks
 geometrically; the antichain pruning along the way is sound because roots,
 products and floors are all monotone.  The recursion is checked against
 the naive multiset expansion in the test suite.
+
+For general ideals the chain member is the root of the expanded power.
+`ideal_power` forms a principal power f^N by Horner's rule on the base-p
+digits of N, f^(p*k + d) = f^k(x^p) * f^d (exact because the Frobenius
+fixes F_p), and a power with several generators as one product per
+multiset of generators; `frobenius_root` then takes the base-q digit
+decomposition of every generator in one pass, which gives the same
+generators as e successive p-th roots.
 """
 
 from __future__ import annotations
@@ -81,28 +89,7 @@ def frobenius_power(a: Ideal, e: int) -> Ideal:
         return a
     if a.is_monomial:
         return monomial_ideal(a.ring, [tuple(q * c for c in v) for v in a.monomials])
-    return Ideal(a.ring, [g ** q for g in a.generators])
-
-
-def _p_root_step(gens, p: int):
-    """One p-th root: decompose each generator f = sum_b g_b^p x^b over the
-    monomials x^b with exponents < p and collect the coefficients g_b.
-
-    Valid over F_p because the Frobenius fixes the prime field, so the term
-    c x^w contributes c x^(w div p) to the bucket b = w mod p.
-    """
-    out = {}
-    for f in gens:
-        buckets: dict = {}
-        for m, c in f.terms.items():
-            res = tuple(e % p for e in m)
-            flo = tuple(e // p for e in m)
-            buckets.setdefault(res, {})[flo] = c
-        for terms in buckets.values():
-            g = Polynomial(f.ring, terms)
-            if not g.is_zero():
-                out[g.key()] = g
-    return list(out.values())
+    return Ideal(a.ring, [g.frobenius(q) for g in a.generators])
 
 
 _ROOT_GEN_CAP = 100000
@@ -111,31 +98,39 @@ _JUMP_GRID_CAP = 10 ** 6
 
 
 def frobenius_root(a: Ideal, e: int) -> Ideal:
-    """The ideal a^[1/q], q = p^e: coefficients of the base-q digit
-    decompositions of the generators, computed by iterating the p-th root
-    e times.
+    """The ideal a^[1/q], q = p^e: the coefficients g_b of the base-q digit
+    decompositions f = sum_b g_b^q x^b of the generators, b < q componentwise.
 
-    Monomial fast path: x^v maps to x^(v div q) componentwise.
+    Valid over F_p because the Frobenius fixes the prime field, so the term
+    c x^w contributes c x^(w div q) to the bucket b = w mod q; a monomial
+    x^v maps to x^(v div q).  One pass at level q gives the same generators
+    as taking p-th roots e times: each iterated bucket is a base-q digit
+    bucket, and a constant bucket stays constant.
     """
     require_int(e, "Frobenius iterate e", least=0)
     if a.is_zero():
         raise DomainError("Frobenius root requires a nonzero ideal")
     if e == 0:
         return a
-    p = a.ring.field.p
+    # p^k > every exponent once k is its bit length: deeper roots floor to 0
+    top = max(max(m) for g in a.generators for m in g.terms)
+    q = a.ring.field.p ** min(e, top.bit_length())
     if a.is_monomial:
-        # p^k > every exponent once k is its bit length: deeper roots floor to 0
-        q = p ** min(e, max(max(v) for v in a.monomials).bit_length())
         return monomial_ideal(a.ring, min_antichain(
             tuple(c // q for c in v) for v in a.monomials))
-    gens = list(a.generators)
-    for _ in range(e):
-        gens = _p_root_step(gens, p)
-        if any(g.is_constant() for g in gens):
-            return unit_ideal(a.ring)
-        if len(gens) > _ROOT_GEN_CAP:
-            raise ResourceLimitError("Frobenius root generator count exploded")
-    return Ideal(a.ring, gens)
+    zero = (0,) * a.ring.nvars
+    roots = {}  # bucket polynomials, deduplicated by their term sets
+    for f in a.generators:
+        buckets: dict = {}
+        for m, c in f.terms.items():
+            buckets.setdefault(tuple(w % q for w in m), {})[tuple(w // q for w in m)] = c
+        for terms in buckets.values():
+            if len(terms) == 1 and zero in terms:
+                return unit_ideal(a.ring)
+            roots[frozenset(terms.items())] = terms
+    if len(roots) > _ROOT_GEN_CAP:
+        raise ResourceLimitError("Frobenius root generator count exploded")
+    return Ideal(a.ring, [Polynomial(a.ring, terms) for terms in roots.values()])
 
 
 # -- fused monomial root-of-power ----------------------------------------------

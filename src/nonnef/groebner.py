@@ -7,6 +7,8 @@ S-pair budget guards against runaway inputs.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .errors import ResourceLimitError
 from .poly import Polynomial, grevlex_key, mono_div, mono_divides, mono_lcm, mono_mul
 
@@ -60,28 +62,29 @@ def buchberger(generators, pair_cap: int):
     if not basis:
         return []
 
-    def pair_key(ij):
-        i, j = ij
-        lcm = mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
+    leads = [h.leading_monomial() for h in basis]
+
+    def pair(i, j):
+        lcm = mono_lcm(leads[i], leads[j])
         return (sum(lcm), grevlex_key(lcm), i, j)
 
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    pending = [pair(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapify(pending)
     processed = 0
     while pending:
-        i, j = min(pending, key=pair_key)
-        pending.discard((i, j))
+        _, _, i, j = heappop(pending)
         processed += 1
         if processed > pair_cap:
             raise ResourceLimitError(f"Groebner pair budget exceeded ({pair_cap})")
-        lf = basis[i].leading_monomial()
-        lg = basis[j].leading_monomial()
-        if mono_lcm(lf, lg) == mono_mul(lf, lg):
+        if mono_lcm(leads[i], leads[j]) == mono_mul(leads[i], leads[j]):
             continue  # product criterion: coprime leading terms
         rem = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if not rem.is_zero():
             basis.append(rem.monic())
+            leads.append(basis[-1].leading_monomial())
             k = len(basis) - 1
-            pending.update((t, k) for t in range(k))
+            for t in range(k):
+                heappush(pending, pair(t, k))
     return _reduce_basis(basis)
 
 

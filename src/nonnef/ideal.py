@@ -10,6 +10,7 @@ basis for containment questions.
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 from .caps import DEFAULT_CAPS
 from .errors import ContractError, DomainError, ResourceLimitError, require_int
@@ -102,7 +103,9 @@ def monomial_ideal(ring: Ring, exponent_vectors) -> Ideal:
     return Ideal(ring, [Polynomial.monomial(ring, tuple(v)) for v in exponent_vectors])
 
 
+@lru_cache(maxsize=None)
 def unit_ideal(ring: Ring) -> Ideal:
+    """The unit ideal of `ring`, built once per ring (ideals are immutable)."""
     return Ideal(ring, [Polynomial.one(ring)])
 
 
@@ -159,17 +162,13 @@ def ideal_power(a: Ideal, n: int, caps=DEFAULT_CAPS) -> Ideal:
             f"power degree {n * max_deg} exceeds cap {caps.power_degree_cap}")
     if len(a.generators) == 1:
         return Ideal(a.ring, [a.generators[0] ** n])
-    gens = [Polynomial.one(a.ring)]
+    # one product per multiset of generators: a product is extended only by
+    # generators at or after the last one it used
+    gens = a.generators
+    level = [(Polynomial.one(a.ring), 0)]
     for _ in range(n):
-        seen, nxt = set(), []
-        for f in gens:
-            for g in a.generators:
-                h = f * g
-                if h.key() not in seen:
-                    seen.add(h.key())
-                    nxt.append(h)
-        gens = nxt
-    return Ideal(a.ring, gens)
+        level = [(f * gens[j], j) for f, last in level for j in range(last, len(gens))]
+    return Ideal(a.ring, [f for f, _ in level])
 
 
 # -- containment ---------------------------------------------------------------

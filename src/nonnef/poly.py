@@ -173,18 +173,31 @@ class Polynomial:
     def scale_monomial(self, mono: Monomial) -> "Polynomial":
         return Polynomial(self.ring, {mono_mul(m, mono): c for m, c in self.terms.items()})
 
+    def frobenius(self, q: int) -> "Polynomial":
+        """f^q for q a power of p: every exponent times q.  Exact because the
+        Frobenius fixes the prime field, so c^q = c for every coefficient."""
+        return Polynomial(self.ring, {tuple(q * e for e in m): c for m, c in self.terms.items()})
+
     def __pow__(self, n: int) -> "Polynomial":
+        """f^n by Horner's rule on the base-p digits d_i of n:
+        f^(p*k + d) = (f^k)^p * f^d, the p-th power taken by `frobenius`."""
         if n < 0:
             raise ContractError("negative polynomial power")
-        result = Polynomial.one(self.ring)
-        base = self
+        p = self.ring.field.p
+        digits = []
         while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
+            n, d = divmod(n, p)
+            digits.append(d)
+        if not digits:
+            return Polynomial.one(self.ring)
+        small = [None, self]  # small[d] = f^d for the digits d < p
+        for _ in range(2, max(digits) + 1):
+            small.append(small[-1] * self)
+        result = small[digits.pop()]
+        for d in reversed(digits):
+            result = result.frobenius(p)
+            if d:
+                result = result * small[d]
         return result
 
     # identity

@@ -1,7 +1,7 @@
 """Independent reference implementations used only by the test suite.
 
 Each oracle recomputes a quantity by the most direct method available
-(multiset expansion, one-shot digit decomposition, vertex enumeration) so
+(multiset expansion, p-th roots one step at a time, vertex enumeration) so
 that the production code paths are checked against something that shares
 no code with them.
 """
@@ -61,8 +61,9 @@ def jump_grid_by_fractions(lam_max, denom_bound):
 
 
 def oneshot_q_root(a: Ideal, q: int) -> Ideal:
-    """(a)^[1/q] computed in a single digit decomposition at level q
-    (independent of the iterated p-step path in production code)."""
+    """(a)^[1/q] computed in a single digit decomposition at level q.  This
+    is also the production algorithm, so the test suite checks production
+    against `iterated_p_root` instead."""
     gens = []
     for f in a.generators:
         buckets = {}
@@ -74,6 +75,28 @@ def oneshot_q_root(a: Ideal, q: int) -> Ideal:
             g = Polynomial(f.ring, terms)
             if not g.is_zero():
                 gens.append(g)
+    return Ideal(a.ring, gens)
+
+
+def iterated_p_root(a: Ideal, e: int) -> Ideal:
+    """(a)^[1/p^e] by taking p-th roots e times: each step decomposes every
+    generator f = sum_b g_b^p x^b over the exponents b < p and keeps the
+    distinct coefficients g_b; a constant coefficient ends the walk at the
+    unit ideal."""
+    p = a.ring.field.p
+    gens = list(a.generators)
+    for _ in range(e):
+        out = {}
+        for f in gens:
+            buckets = {}
+            for m, c in f.terms.items():
+                buckets.setdefault(tuple(w % p for w in m), {})[tuple(w // p for w in m)] = c
+            for terms in buckets.values():
+                g = Polynomial(f.ring, terms)
+                out[g.key()] = g
+        gens = list(out.values())
+        if any(g.is_constant() for g in gens):
+            return Ideal(a.ring, [Polynomial.one(a.ring)])
     return Ideal(a.ring, gens)
 
 

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from nonnef import (ContractError, DomainError, PrimeField, ceil_split,
-                    f_jumping_numbers, frobenius_power, frobenius_root,
+from nonnef import (ContractError, DomainError, Ideal, PrimeField, ResourceLimitError,
+                    ceil_split, f_jumping_numbers, frobenius_power, frobenius_root,
                     groebner_basis, ideal_contains, ideal_equal, ideal_power,
                     ideal_product, monomial_ideal, parse_ideal, parse_poly, ring,
                     unit_ideal, zero_ideal)
@@ -62,6 +62,23 @@ def test_term_count_bound():
     assert len((f * g).terms) <= len(f.terms) * len(g.terms)
 
 
+def _seeded_poly(rng, amb, max_exp, nterms):
+    return Polynomial(amb, {tuple(rng.randrange(max_exp + 1) for _ in amb.variables):
+                            rng.randrange(1, amb.field.p) for _ in range(nterms)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pow_matches_repeated_multiplication(p):
+    amb = ring(p, "x", "y")
+    rng = random.Random(p)
+    for _ in range(3):
+        f = _seeded_poly(rng, amb, 2, rng.randint(2, 3))
+        expected = Polynomial.one(amb)
+        for n in range(41):
+            assert repr(f ** n) == repr(expected)
+            expected = expected * f
+
+
 def test_grevlex_order():
     # graded first, then reverse-lex tie break: x^2 > x*y > y^2 in two vars
     ms = [(0, 2), (2, 0), (1, 1)]
@@ -105,6 +122,20 @@ class TestIdealPower:
             m, n = rng.randrange(0, 4), rng.randrange(0, 4)
             assert ideal_power(a, m + n) == ideal_product(ideal_power(a, m), ideal_power(a, n))
 
+    def test_multi_generator_power_matches_iterated_product(self):
+        rng = random.Random(17)
+        for p in (2, 3, 5):
+            amb = ring(p, "x", "y")
+            for _ in range(4):
+                a = Ideal(amb, [_seeded_poly(rng, amb, 2, rng.randint(1, 3))
+                                for _ in range(rng.randint(2, 3))])
+                if a.is_monomial:
+                    continue
+                expected = unit_ideal(amb)
+                for n in range(6):
+                    assert repr(ideal_power(a, n)) == repr(expected)
+                    expected = ideal_product(expected, a)
+
 
 class TestIdealProduct:
     def test_principal_product(self):
@@ -140,6 +171,20 @@ class TestGroebner:
         gb1 = groebner_basis(a)
         gb2 = groebner_basis(gb1)
         assert [g.key() for g in gb1.generators] == [g.key() for g in gb2.generators]
+
+    # the least S-pair budget that buchberger accepts on seeded generators;
+    # it pins the pair order (lcm degree, lcm, indices) and the budget check
+    LEAST_PAIR_CAP = {0: 21, 1: 28, 2: 6, 3: 45, 4: 15, 5: 21, 6: 10, 9: 45, 10: 21, 13: 105}
+
+    @pytest.mark.parametrize("seed", sorted(LEAST_PAIR_CAP))
+    def test_least_pair_cap(self, seed):
+        rng = random.Random(f"buchberger:{seed}")
+        amb = ring((2, 3, 5)[seed % 3], *("x", "y", "z")[:2 + seed % 2])
+        gens = [_seeded_poly(rng, amb, 3, rng.randint(2, 3)) for _ in range(rng.randint(2, 3))]
+        cap = self.LEAST_PAIR_CAP[seed]
+        assert buchberger(gens, cap)
+        with pytest.raises(ResourceLimitError, match="pair budget"):
+            buchberger(gens, cap - 1)
 
 
 class TestContainment:
@@ -219,6 +264,11 @@ class TestGrammar:
     def test_unit_normalization(self):
         a = I("p=3; vars=x; gens=[2, x]")
         assert a.is_unit() and len(a.generators) == 1
+
+
+def test_unit_ideal_is_built_once_per_ring():
+    assert unit_ideal(R2) is unit_ideal(ring(2, "x", "y"))
+    assert unit_ideal(R3) is not unit_ideal(R2)
 
 
 class TestGroebnerCacheValidation:

@@ -6,11 +6,12 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from nonnef import (Caps, ContractError, DomainError, ResourceLimitError,
-                    ceil_split, f_jumping_numbers, frobenius_power,
+from nonnef import (Caps, ContractError, DomainError, Ideal, Polynomial,
+                    ResourceLimitError, ceil_split, f_jumping_numbers, frobenius_power,
                     frobenius_root, ideal_contains, ideal_power, ideal_product,
                     mixed_test_ideal, monomial_ideal, parse_ideal, ring,
                     unit_ideal, zero_ideal)
@@ -20,7 +21,7 @@ from nonnef.frobenius import (_JUMP_GRID_CAP, _jump_grid, _root_memo, ceil_times
 from nonnef.frobenius import test_ideal as tau
 from nonnef.verify import random_monomial_ideal
 from oracles import (jump_grid_by_fractions, naive_monomial_power_root,
-                     naive_product_power_root, naive_test_ideal_chain, oneshot_q_root)
+                     iterated_p_root, naive_product_power_root, naive_test_ideal_chain)
 
 R2 = ring(2, "x", "y")
 R3 = ring(3, "x", "y")
@@ -40,6 +41,12 @@ class TestBracketPower:
     def test_char2_squaring(self):
         assert frobenius_power(I("p=2; vars=x,y; gens=[x + y]"), 1) \
             == I("p=2; vars=x,y; gens=[x^2 + y^2]")
+
+    def test_exponent_scaling_matches_repeated_multiplication(self):
+        # p = 3, e = 3: g^27 by 26 multiplications against exponents times 27
+        a = I("p=3; vars=x,y; gens=[x^2 + 2*x*y + y, 2*x*y^2 + x + 1]")
+        expanded = Ideal(a.ring, [reduce(operator.mul, [g] * 27) for g in a.generators])
+        assert repr(frobenius_power(a, 3)) == repr(expanded)
 
 
 class TestFrobeniusRoot:
@@ -69,18 +76,28 @@ class TestFrobeniusRoot:
         assert time.perf_counter() - start < 0.5
 
     def test_iterated_matches_oneshot_oracle(self):
+        # production takes the base-q digits in one pass; the oracle takes
+        # p-th roots e times, and the two must agree on the presentation
         rng = random.Random(5)
-        for p, amb in ((2, R2), (3, R3)):
+        for p in (2, 3, 5):
+            amb = ring(p, "x", "y")
             for _ in range(25):
-                terms = {tuple(rng.randrange(6) for _ in range(2)): rng.randrange(1, p)
-                         for _ in range(rng.randrange(1, 4))}
-                from nonnef.poly import Polynomial
-                f = Polynomial(amb, terms)
-                if f.is_zero():
+                gens = [Polynomial(amb, {tuple(rng.randrange(7) for _ in range(2)):
+                                         rng.randrange(1, p)
+                                         for _ in range(rng.randrange(1, 4))})
+                        for _ in range(rng.randrange(1, 3))]
+                a = Ideal(amb, gens)
+                if a.is_monomial:
                     continue
-                a = parse_ideal(f"p={p}; vars=x,y; gens=[{f!r}]")
-                for e in (1, 2):
-                    assert frobenius_root(a, e) == oneshot_q_root(a, p ** e)
+                for e in range(1, 5):
+                    assert repr(frobenius_root(a, e)) == repr(iterated_p_root(a, e))
+                assert frobenius_root(a, 10 ** 9) == unit_ideal(amb)
+
+    def test_buckets_with_equal_support_stay_apart(self):
+        # x^3 + y^3 and x^3 + 2*y^3 have the roots x + y and x + 2*y
+        a = I("p=3; vars=x,y; gens=[x^3 + y^3, x^3 + 2*y^3]")
+        assert repr(frobenius_root(a, 1)) == repr(iterated_p_root(a, 1)) \
+            == "p=3; vars=x,y; gens=[x + y, x + 2*y]"
 
     def test_root_composition(self):
         rng = random.Random(9)
