@@ -29,13 +29,30 @@ from .poly import mono_divides, ring
 from .simplex import INFEASIBLE, OPTIMAL, Polytope, solve_lp
 
 
+#: Largest fan dimension accepted: `newton._det` expands cofactors, n! terms
+#: per determinant, and `Fan.walls` takes n of them for every ray outside
+#: every chart.  4 is the largest dimension the tests build.
+_MAX_FAN_DIM = 4
+
+
 class Fan:
-    """Validated smooth complete projective fan of dimension <= 3.
+    """Validated smooth complete projective fan of dimension at most
+    `_MAX_FAN_DIM`.
 
     Each maximal cone is a chart; `walls(cone)` gives the coordinates of
     every other ray in the cone's basis, the one table from which the
     nef/ample test, the ample witness LP and the chart systems are read.
-    The dimension bound comes from the Euler check of `_check_complete`."""
+
+    Completeness rests on two checks that hold in every dimension.  The
+    ample witness LP asks for d with l_sigma(v_j) < d_j for every chart
+    sigma and every ray v_j outside it, where l_sigma is the linear
+    function equal to d on the rays of sigma.  At a point x = sum a_i v_i
+    of sigma (a_i >= 0) this gives l_tau(x) <= l_sigma(x) for every chart
+    tau, with equality only when x lies on the face spanned by the rays
+    sigma and tau share.  So two cones meet along a common face, and no
+    point lies inside two cones.  `_check_complete` adds that every facet
+    bounds exactly two cones, lying on opposite sides of it: the support
+    then has no boundary, so it is all of R^n."""
 
     def __init__(self, rays, max_cones):
         self.rays = tuple(map(tuple, rays))
@@ -54,8 +71,9 @@ class Fan:
             raise DomainError("fan rays and max_cones must hold integers only")
         self.max_cones = tuple(tuple(sorted(c)) for c in self.max_cones)
         n = self.dim
-        if not (1 <= n <= 3):
-            raise DomainError("fan dimension must be 1, 2 or 3")
+        if not 1 <= n <= _MAX_FAN_DIM:
+            raise DomainError(f"fan dimension must be between 1 and {_MAX_FAN_DIM}, "
+                              f"got {n}")
         if any(len(v) != n for v in self.rays):
             raise DomainError("ray length mismatch")
         if len(set(self.rays)) != len(self.rays):
@@ -79,15 +97,10 @@ class Fan:
 
     def _check_complete(self):
         n = self.dim
-        if n == 1:
-            if set(self.rays) != {(1,), (-1,)}:
-                raise DomainError("completeness failure: a complete 1-dim fan "
-                                  "needs rays (1) and (-1)")
-            return
         facets = {}
         for ci, cone in enumerate(self.max_cones):
             for facet in combinations(cone, n - 1):
-                facets.setdefault(tuple(facet), []).append(ci)
+                facets.setdefault(facet, []).append(ci)
         for facet, owners in facets.items():
             if len(owners) != 2:
                 raise DomainError(f"completeness failure: facet {facet} lies in "
@@ -104,31 +117,11 @@ class Fan:
                 sides.append(s > 0)
             if sides[0] == sides[1]:
                 raise DomainError(f"completeness failure: fan folds at facet {facet}")
-        # Euler characteristic of the induced sphere complex
-        v, e, f = len(self.rays), len(facets), len(self.max_cones)
-        ok = (v == f) if n == 2 else (v - e + f == 2)
-        if not ok:
-            raise DomainError("completeness failure: Euler characteristic mismatch")
-        # connectivity through facets
-        seen = {0}
-        frontier = [0]
-        adjacency = {}
-        for owners in facets.values():
-            a, b = owners
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
-        while frontier:
-            c = frontier.pop()
-            for d in adjacency.get(c, ()):
-                if d not in seen:
-                    seen.add(d)
-                    frontier.append(d)
-        if len(seen) != len(self.max_cones):
-            raise DomainError("completeness failure: fan support is disconnected")
 
     def _find_ample(self):
         """An integral ample divisor found by the strict-convexity LP; its
-        existence is the projectivity check."""
+        existence is the projectivity check, and the check that no two
+        cones overlap (see the class docstring)."""
         nrays = len(self.rays)
         cons = []
         for cone in self.max_cones:
@@ -141,8 +134,8 @@ class Fan:
                 cons.append((row, Fraction(1)))
         res = solve_lp([0] * nrays, cons, nrays)
         if res.status != OPTIMAL:
-            raise DomainError("projectivity failure: no strictly convex "
-                              "support function exists")
+            raise DomainError("completeness or projectivity failure: the cones "
+                              "overlap, or no strictly convex support function exists")
         point = ToricDivisor(res.point)
         d = point.scale(point.denominator)
         if not _wall_test(self, d)[1]:
@@ -713,7 +706,7 @@ def _tau_plus(fan: Fan, d: ToricDivisor, lam, cone, a: ToricDivisor, p: int,
 class MethodRecord:
     subvariety: InvariantSubvariety
     sigma_value: object
-    lp_member: bool
+    lp_member: object              # bool, or None when sigma is cap-reached
     tau_member: bool
     base_locus_member: bool
     evidence: str
@@ -738,7 +731,8 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     """Compute B_-(D) three independent ways for every invariant
     subvariety and require agreement:
 
-      1. the exact LP sigma invariant (positive iff member),
+      1. the exact LP sigma invariant (positive iff member; no vote when
+         its schedule ends cap-reached),
       2. vanishing of the chart test ideals tau(||mD||) (big case) or
          tau_+(m||D||) (pseudo-effective case) for some m <= tau_level_cap,
       3. membership in the stable base locus of D + eps*A on a shrinking
@@ -795,12 +789,13 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
         sg = _sigma_samples(fan, d, sub, a, caps, sections)
         if sg.evidence == EVIDENCE_CAP:
             evidences.append(EVIDENCE_CAP)
-        lp_member = sg.value is not None and sg.value > 0
+        # a cap-reached sigma has no value; the other two methods decide
+        lp_member = None if sg.value is None else sg.value > 0
         cone, positions = fan.chart_for(sub)
         z = CoordinateSubvariety(positions)
         tau_member = any(ord_along(t, z) >= 1 for t in tau_by_chart[cone])
         bl_member = sub in finest
-        if not (lp_member == tau_member == bl_member):
+        if tau_member != bl_member or lp_member not in (None, tau_member):
             hint = ""
             if lp_member and bl_member and not tau_member:
                 hint = (f" (no vanishing found among tau levels m <= "
@@ -813,7 +808,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
         records.append(MethodRecord(sub, sg.value, lp_member, tau_member,
                                     bl_member, sg.evidence))
         sigma_of[sub] = sg.value
-        if lp_member:
+        if tau_member:
             members.append(sub)
 
     status = "nef" if not members else "pseudo-effective-not-nef"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from .asymptotic import (CoordinateSubvariety, GradedSequence,
-                         asymptotic_test_ideal, check_estimate_order)
+                         check_asymptotic_props, check_estimate_order)
 from .caps import DEFAULT_CAPS, Caps
 from .errors import ContractError, DomainError, require_int
 from .frobenius import EVIDENCE_CAP, ceil_split, test_ideal
@@ -158,21 +158,16 @@ def run_asymptotic_props(seed: int, budget: int, caps: Caps = DEFAULT_CAPS) -> S
         mu = lam - Fraction(rng.randint(0, 2), 2)
         mu = max(mu, Fraction(0))
         m = rng.choice([1, 2])
-        t_lam = asymptotic_test_ideal(seq, lam, caps)
-        t_mu = asymptotic_test_ideal(seq, mu, caps)
-        t_mlam = asymptotic_test_ideal(seq, m * lam, caps)
-        if EVIDENCE_CAP in (t_lam.evidence, t_mu.evidence, t_mlam.evidence):
+        chk = check_asymptotic_props(seq, None, None, lam, mu, m, caps)
+        if chk.evidence == EVIDENCE_CAP:
             skipped += 1
             continue
         cases += 1
-        if not ideal_contains(t_mu.ideal, t_lam.ideal):
+        if not (chk.monotone_holds and chk.power_subadditive_holds):
+            failure = "power subadditivity" if chk.monotone_holds else "monotonicity"
             return SuiteResult("asymptotic-props", cases, skipped, 1,
-                               {"seq": repr(seq.base), "lambda": str(lam),
-                                "mu": str(mu), "p": p, "failure": "monotonicity"})
-        if not ideal_contains(ideal_power(t_lam.ideal, m, caps), t_mlam.ideal):
-            return SuiteResult("asymptotic-props", cases, skipped, 1,
-                               {"seq": repr(seq.base), "lambda": str(lam),
-                                "m": m, "p": p, "failure": "power subadditivity"})
+                               {"seq": repr(seq.base), "lambda": str(lam), "mu": str(mu),
+                                "m": m, "p": p, "failure": failure})
     return SuiteResult("asymptotic-props", cases, skipped, 0)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nonnef import (ContractError, DomainError, ideal_power, ideal_product,
+from nonnef import (Caps, ContractError, DomainError, ideal_power, ideal_product,
                     monomial_ideal, parse_ideal, ring, unit_ideal, zero_ideal)
 from nonnef.asymptotic import (CoordinateSubvariety,
                                GradedSequence, asymptotic_ord,
@@ -183,6 +183,14 @@ class TestAsymptoticProps:
         rep = check_asymptotic_props(seq, None, None, 2, 1, 2)
         assert rep.monotone_holds and rep.power_subadditive_holds
         assert rep.comparison_holds is None
+
+    def test_reports_the_worst_evidence(self):
+        seq = GradedSequence.power(I("p=2; vars=x,y; gens=[x, y]"))
+        assert check_asymptotic_props(seq, None, None, 2, 1, 2).evidence == "window-stable"
+        # the chain for (x,y)^(9/5) needs e=4 to reach its certified value
+        rep = check_asymptotic_props(seq, None, None, Fraction(9, 5), 1, 2,
+                                     Caps(e_max_monomial=2))
+        assert rep.evidence == "cap-reached"
 
     def test_m_one_is_trivial_equality(self):
         seq = GradedSequence.power(I("p=2; vars=x,y; gens=[x^2, y]"))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from nonnef.cli import main
+from fans import SHORT_TWO_FOLD_CYCLE, cycle_times_lines
 
 
 def run_cli(argv, stdin=""):
@@ -71,6 +72,17 @@ class TestBasicVerbs:
         payload = json.loads(out)["result"]
         assert payload["status"] == "pseudo-effective-not-nef"
         assert payload["positive_sigma"] == [[[3], "1"]]
+
+    @pytest.mark.parametrize("flag", [["--window", "11"], ["--epsilon-depth", "2"]],
+                             ids=["window", "epsilon-depth"])
+    def test_nonnef_with_capped_sigma(self, flag):
+        code, out = run_cli(["--json"] + flag + ["nonnef", "--fan", "builtin:blowup-p2",
+                                                 "--divisor", "0,0,2,1"])
+        payload = json.loads(out)["result"]
+        assert code == 0 and payload["status"] == "pseudo-effective-not-nef"
+        assert payload["certified"] is False
+        assert payload["positive_sigma"] == [[[3], None]]
+        assert all(r["lp_member"] is None for r in payload["cross_checks"])
 
     def test_tau_plus(self):
         code, out = run_cli(["--json", "tau-plus", "--fan", "builtin:blowup-p2",
@@ -320,17 +332,26 @@ class TestFanFile:
                              "--divisor", "1,1,1"])
         assert code == 0 and json.loads(out)["result"]["ample"] is True
 
+    def test_four_dimensional_fan_file(self, tmp_path):
+        # P^4: rays e_1..e_4 and -(1,1,1,1), five simplicial cones
+        fan_file = tmp_path / "fan.json"
+        fan_file.write_text(json.dumps({
+            "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]],
+            "max_cones": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4]],
+        }))
+        code, out = run_cli(["--json", "toric-classify", "--fan", str(fan_file),
+                             "--divisor", "1,0,0,0,0"])
+        assert code == 0 and json.loads(out)["result"]["ample"] is True
+
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read fan file"),
         ("{bad", "not valid JSON"),
         ('{"rays": [[1, 0], [-1, 0]]}', "needs the keys"),
         ("[1, 2]", "needs the keys"),
-        # P^4: rays e_1..e_4 and -(1,1,1,1), five simplicial cones
-        (json.dumps({"rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
-                              [-1, -1, -1, -1]],
-                     "max_cones": [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4],
-                                   [0, 2, 3, 4], [1, 2, 3, 4]]}),
-         "fan dimension must be 1, 2 or 3"),
+        # a cycle of 2-D cones winding twice around the origin, times (P^1)^2
+        (json.dumps(dict(zip(("rays", "max_cones"),
+                             cycle_times_lines(SHORT_TWO_FOLD_CYCLE, 2)))),
+         "the cones overlap"),
         (json.dumps({"rays": [[1, 0], [-1, 2], [0, -1]],
                      "max_cones": [[0, 1], [1, 2], [0, 2]]}), "smoothness"),
         ('{"rays": [1, 0, -1], "max_cones": [[0], [1]]}', "needs the keys"),
@@ -338,7 +359,7 @@ class TestFanFile:
          "integers only"),
         ('{"rays": [[1.5, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
          "integers only"),
-    ], ids=["missing", "not-json", "no-max-cones", "not-an-object", "dimension-4",
+    ], ids=["missing", "not-json", "no-max-cones", "not-an-object", "double-cover-4d",
             "not-smooth", "flat-rays", "string-entry", "float-entry"])
     def test_bad_fan_file_is_domain_error(self, tmp_path, content, message):
         fan_file = tmp_path / "fan.json"

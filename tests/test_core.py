@@ -9,7 +9,7 @@ from nonnef import (ContractError, DomainError, Ideal, PrimeField, ResourceLimit
                     groebner_basis, ideal_contains, ideal_equal, ideal_power,
                     ideal_product, monomial_ideal, parse_ideal, parse_poly, ring,
                     unit_ideal, zero_ideal)
-from nonnef.asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_ord
+from nonnef.asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_ord, ord_along
 from nonnef.caps import DEFAULT_CAPS, ENV_VARS, Caps, caps_from_env
 from nonnef.groebner import buchberger
 from nonnef.poly import Polynomial, grevlex_key, min_antichain
@@ -338,6 +338,10 @@ _INTEGER_ARGUMENTS = [
                                        (0, 3))),
     ("level", 1, lambda v: base_locus_ord(builtin_fan("f1"), ToricDivisor((0, 0, 0, 1)), v,
                                           InvariantSubvariety((3,)))),
+    ("table index m", 1, lambda v: GradedSequence.from_table(
+        R2, {v: I("p=2; vars=x,y; gens=[x]")}).term(3)),
+    ("subvariety index", 0, lambda v: ord_along(I("p=2; vars=x; gens=[x]"),
+                                                CoordinateSubvariety((v,)))),
 ]
 
 

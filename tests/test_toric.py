@@ -1,6 +1,7 @@
 """Fans, divisor classes, base loci, sigma, chart test ideals, non-nef loci."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -13,6 +14,8 @@ from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor, _chart_system,
                           classify_divisor, divisor, non_nef_locus, sigma,
                           stable_base_locus, tau_plus_toric, tau_toric)
 from nonnef.simplex import Polytope
+from fans import (TWO_FOLD_CYCLE, blow_up_point, cycle_times_lines, product_of_lines,
+                  projective_space, suspension)
 from oracles import (big_by_vertices, effective_by_vertices, lattice_minimals_by_enumeration,
                      lp_min_by_vertices, pseudo_effective_by_eps_lp)
 
@@ -357,6 +360,18 @@ class TestNonNef:
         with pytest.raises(DomainError, match="perturbation divisor must be ample"):
             non_nef_locus(builtin_fan("p2"), divisor(*coeffs), ample=divisor(0, 0, 0))
 
+    @pytest.mark.parametrize("caps", [Caps(window=11), Caps(epsilon_depth=2)],
+                             ids=["window", "epsilon-depth"])
+    def test_capped_sigma_leaves_membership_to_the_other_methods(self, caps):
+        fan, ph, e = blowup_lab()
+        rep = non_nef_locus(fan, ph + e, caps=caps)
+        assert rep.status == "pseudo-effective-not-nef" and not rep.certified
+        assert rep.members == non_nef_locus(fan, ph + e).members
+        assert rep.positive_sigma == ((E_SUB, None),)
+        for r in rep.cross_checks:
+            assert r.sigma_value is None and r.lp_member is None
+            assert r.tau_member == r.base_locus_member == (r.subvariety in rep.members)
+
     def test_explicit_ample_matches_default(self):
         fan, ph, e = blowup_lab()
         assert non_nef_locus(fan, ph + e, ample=fan.ample) == non_nef_locus(fan, ph + e)
@@ -531,6 +546,59 @@ class TestThreeDimensional:
         pt = InvariantSubvariety((0, 1, 2))
         assert asymptotic_ord_toric(p3, divisor(1, 0, 0, 0), pt) == 0
         assert base_locus_ord(p3, divisor(1, 0, 0, 0), 2, pt) == 0
+
+
+class TestAnyDimension:
+    def test_p1_builds(self):
+        fan = Fan([(1,), (-1,)], [(0,), (1,)])
+        assert fan.picard_number == 1 and classify_divisor(fan, divisor(1, 0)).ample
+        assert non_nef_locus(fan, divisor(1, -1)).status == "nef"
+
+    def test_single_ray_rejected(self):
+        with pytest.raises(DomainError, match="completeness"):
+            Fan([(1,)], [(0,)])
+
+    @pytest.mark.parametrize("rays, cones", [
+        cycle_times_lines(TWO_FOLD_CYCLE, 0),
+        suspension(*cycle_times_lines(TWO_FOLD_CYCLE, 0)),
+        cycle_times_lines(TWO_FOLD_CYCLE, 2),
+    ], ids=["2d-cycle", "3d-suspension", "4d-cycle-times-p1xp1"])
+    def test_two_fold_cover_rejected(self, rays, cones):
+        with pytest.raises(DomainError, match="the cones overlap"):
+            Fan(rays, cones)
+
+    def test_four_dimensional_gap_rejected(self):
+        rays, cones = projective_space(4)
+        with pytest.raises(DomainError, match="completeness failure: facet"):
+            Fan(rays, cones[1:])
+
+    def test_dimension_above_the_bound_rejected(self):
+        with pytest.raises(DomainError, match="between 1 and 4, got 5"):
+            Fan(*projective_space(5))
+
+    def test_exceptional_divisor_of_a_blown_up_p4(self):
+        fan = Fan(*blow_up_point(*projective_space(4), (0, 1, 2, 3)))
+        # pullback of a hyperplane plus the exceptional divisor E = V(5)
+        rep = non_nef_locus(fan, divisor(0, 0, 0, 0, 1, 1))
+        assert rep.status == "pseudo-effective-not-nef" and rep.certified
+        assert rep.positive_sigma == ((InvariantSubvariety((5,)), 1),)
+
+    def test_seeded_sweep_agrees_and_meets_every_status(self):
+        p4 = projective_space(4)
+        statuses = Counter()
+        for data in (p4, product_of_lines(4), blow_up_point(*p4, (0, 1, 2, 3))):
+            fan = Fan(*data)
+            assert fan.dim == 4 and classify_divisor(fan, fan.ample).ample
+            rng = random.Random(1)
+            for _ in range(40):
+                d = ToricDivisor(tuple(rng.randint(-1, 2) for _ in fan.rays))
+                rep = non_nef_locus(fan, d)  # raises unless the three methods agree
+                assert rep.certified
+                assert (rep.status == "nef") == classify_divisor(fan, d).nef
+                assert (rep.status != "not-pseudo-effective") == pseudo_effective_by_eps_lp(
+                    fan.rays, d.coefficients, fan.ample.coefficients)
+                statuses[rep.status] += 1
+        assert set(statuses) == {"nef", "pseudo-effective-not-nef", "not-pseudo-effective"}
 
 
 def test_non_primitive_ray_rejected():
