@@ -130,7 +130,7 @@ def frobenius_root(a: Ideal, e: int) -> Ideal:
             roots[frozenset(terms.items())] = terms
     if len(roots) > _ROOT_GEN_CAP:
         raise ResourceLimitError("Frobenius root generator count exploded")
-    return Ideal(a.ring, [Polynomial(a.ring, terms) for terms in roots.values()])
+    return Ideal(a.ring, [Polynomial._clean(a.ring, terms) for terms in roots.values()])
 
 
 # -- fused monomial root-of-power ----------------------------------------------

@@ -15,21 +15,35 @@ from .poly import Polynomial, grevlex_key, mono_div, mono_divides, mono_lcm, mon
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f under multivariate division by `basis`."""
+    return _divide(f, _reducers(basis))
+
+
+def _reducers(basis):
+    """(leading monomial, inverse of the leading coefficient, other terms)
+    of every nonzero member of `basis`: what division by it reads."""
+    out = []
+    for g in basis:
+        if not g.is_zero():
+            lm = g.leading_monomial()
+            out.append((lm, g.ring.field.inv(g.terms[lm]),
+                        [(m, c) for m, c in g.terms.items() if m != lm]))
+    return out
+
+
+def _divide(f: Polynomial, reducers) -> Polynomial:
+    """normal_form by reducers already built by `_reducers`."""
     p = f.ring.field.p
-    leads = [(g.leading_monomial(), g.ring.field.inv(g.leading_coeff()), g)
-             for g in basis if not g.is_zero()]
     remainder: dict = {}
     work = dict(f.terms)
     while work:
         m = max(work, key=grevlex_key)
         c = work.pop(m)
-        for lm, lcinv, g in leads:
+        for lm, lcinv, tail in reducers:
             if mono_divides(lm, m):
+                # the leading term cancels the popped term m exactly
                 factor = (c * lcinv) % p
                 shift = mono_div(m, lm)
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue  # cancels the popped term m exactly
+                for gm, gc in tail:
                     t = mono_mul(gm, shift)
                     v = (work.get(t, 0) - factor * gc) % p
                     if v:
@@ -39,7 +53,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 break
         else:
             remainder[m] = c
-    return Polynomial(f.ring, remainder)
+    return Polynomial._clean(f.ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -63,6 +77,7 @@ def buchberger(generators, pair_cap: int):
         return []
 
     leads = [h.leading_monomial() for h in basis]
+    reducers = _reducers(basis)
 
     def pair(i, j):
         lcm = mono_lcm(leads[i], leads[j])
@@ -78,10 +93,11 @@ def buchberger(generators, pair_cap: int):
             raise ResourceLimitError(f"Groebner pair budget exceeded ({pair_cap})")
         if mono_lcm(leads[i], leads[j]) == mono_mul(leads[i], leads[j]):
             continue  # product criterion: coprime leading terms
-        rem = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        rem = _divide(s_polynomial(basis[i], basis[j]), reducers)
         if not rem.is_zero():
             basis.append(rem.monic())
             leads.append(basis[-1].leading_monomial())
+            reducers += _reducers(basis[-1:])
             k = len(basis) - 1
             for t in range(k):
                 heappush(pending, pair(t, k))
@@ -97,10 +113,11 @@ def _reduce_basis(basis):
         if not any(mono_divides(k.leading_monomial(), lm) for k in minimal):
             minimal.append(g)
     # tail-reduce each member against the rest
+    reducers = _reducers(minimal)
     reduced = []
     for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        h = normal_form(g, others).monic() if others else g
+        others = reducers[:idx] + reducers[idx + 1:]
+        h = _divide(g, others).monic() if others else g
         if not h.is_zero():
             reduced.append(h)
     reduced.sort(key=lambda h: grevlex_key(h.leading_monomial()))

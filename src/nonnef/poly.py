@@ -1,13 +1,22 @@
 """Sparse multivariate polynomials over a prime field.
 
 Monomials are exponent tuples; the fixed term order everywhere is graded
-reverse lexicographic.  Polynomials are immutable once built.
+reverse lexicographic.
+
+Polynomials are immutable once built: no code writes to `terms` after
+construction, so the leading monomial and the canonical key are computed at
+most once per polynomial and cached.  `Polynomial(ring, terms)` copies and
+cleans its input (reduces every coefficient mod p and drops zeros).
+`Polynomial._clean(ring, terms)` skips that pass and takes the dict itself;
+its caller guarantees that every monomial has one exponent per variable,
+that every coefficient lies in 1..p-1, and that nothing else keeps or
+mutates the dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le
+from operator import add, le, neg
 
 from .errors import ContractError, DomainError
 from .field import PrimeField
@@ -62,7 +71,7 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def grevlex_key(m: Monomial):
     """Sort key: ascending under graded reverse lexicographic order."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 def min_antichain(monomials) -> frozenset:
@@ -71,7 +80,9 @@ def min_antichain(monomials) -> frozenset:
     This is the minimal generating set of the monomial ideal the vectors
     generate.
     """
-    ordered = sorted(set(monomials), key=grevlex_key)
+    # total degree is a linear extension of divisibility: every proper
+    # divisor of m is seen before m
+    ordered = sorted(set(monomials), key=sum)
     kept: list = []
     for m in ordered:
         if not any(mono_divides(k, m) for k in kept):
@@ -84,7 +95,7 @@ def min_antichain(monomials) -> frozenset:
 class Polynomial:
     """Finite map monomial -> nonzero residue, over a fixed Ring."""
 
-    __slots__ = ("ring", "terms", "_key")
+    __slots__ = ("ring", "terms", "_key", "_lead")
 
     def __init__(self, ring: Ring, terms: dict):
         p = ring.field.p
@@ -98,6 +109,18 @@ class Polynomial:
         self.ring = ring
         self.terms = clean
         self._key = None
+        self._lead = None
+
+    @classmethod
+    def _clean(cls, ring: Ring, terms: dict) -> "Polynomial":
+        """A polynomial that takes `terms` as they are; see the module
+        docstring for the precondition."""
+        f = object.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        f._key = None
+        f._lead = None
+        return f
 
     # construction helpers
     @classmethod
@@ -126,9 +149,11 @@ class Polynomial:
         return max((sum(m) for m in self.terms), default=0)
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ContractError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        if self._lead is None:
+            if not self.terms:
+                raise ContractError("zero polynomial has no leading monomial")
+            self._lead = max(self.terms, key=grevlex_key)
+        return self._lead
 
     def leading_coeff(self) -> int:
         return self.terms[self.leading_monomial()]
@@ -141,7 +166,7 @@ class Polynomial:
 
     # arithmetic
     def _check_same_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ContractError(f"ambient ring mismatch: {self.ring} vs {other.ring}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -164,19 +189,21 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                out[m] = (out.get(m, 0) + c1 * c2) % p
-        return Polynomial(self.ring, out)
+                out[m] = out.get(m, 0) + c1 * c2
+        return Polynomial._clean(self.ring, {m: r for m, c in out.items() if (r := c % p)})
 
     def scale(self, c: int) -> "Polynomial":
         return Polynomial(self.ring, {m: cf * c for m, cf in self.terms.items()})
 
     def scale_monomial(self, mono: Monomial) -> "Polynomial":
-        return Polynomial(self.ring, {mono_mul(m, mono): c for m, c in self.terms.items()})
+        return Polynomial._clean(self.ring,
+                                 {mono_mul(m, mono): c for m, c in self.terms.items()})
 
     def frobenius(self, q: int) -> "Polynomial":
         """f^q for q a power of p: every exponent times q.  Exact because the
         Frobenius fixes the prime field, so c^q = c for every coefficient."""
-        return Polynomial(self.ring, {tuple(q * e for e in m): c for m, c in self.terms.items()})
+        return Polynomial._clean(self.ring,
+                                 {tuple(q * e for e in m): c for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         """f^n by Horner's rule on the base-p digits d_i of n:

@@ -12,9 +12,9 @@ entries.  The ratio test compares by cross-multiplication, and the
 reduced-cost row is carried as an integer row, a positive multiple of the
 reduced costs, that every pivot updates like a tableau row.  The basis
 determines the reduced costs, so their signs, and every Bland choice, are
-those of a tableau over `Fraction`.  `Fraction` appears only where
-constraints and objectives are scaled in and where the value and point are
-read out.
+those of a tableau over `Fraction`.  Constraints and objectives are ints
+or `Fraction`s; `Fraction` appears only where they are scaled in over a
+common denominator and where the value and point are read out.
 
 Phase 1 depends only on the constraints.  A `Polytope` runs it once and
 answers every later objective by phase 2 from a copy of its basis, so a
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ContractError
 
@@ -44,8 +45,8 @@ class LPResult:
 
 
 def _integers(values):
-    """(scale * values, scale) for Fractions, scale the least common
-    denominator."""
+    """(scale * values, scale) for ints and Fractions, scale the least
+    common denominator."""
     scale = lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
@@ -120,7 +121,7 @@ class Polytope:
 
     def __init__(self, constraints, n):
         self.n = n
-        cons = [_integers([Fraction(c) for c in a] + [Fraction(b)]) for a, b in constraints]
+        cons = [_integers([*a, b]) for a, b in constraints]
         m = len(cons)
         width = 2 * n + m          # x+ columns, x- columns, surplus columns
 
@@ -159,17 +160,22 @@ class Polytope:
         if not self.feasible:
             return LPResult(INFEASIBLE)
         n = self.n
-        objective = [Fraction(c) for c in objective]
+        objective = tuple(objective)
         rows = list(self._rows)    # pivots replace rows, never edit one
         basis = list(self._basis)
         cost, _ = _integers(objective)
         cost2 = cost + [-c for c in cost] + [0] * self._surplus
         if _run_simplex(rows, basis, cost2) == UNBOUNDED:
             return LPResult(UNBOUNDED)
-        values = {b: Fraction(row[-1], row[b]) for row, b in zip(rows, basis)}
-        x = tuple(values.get(j, Fraction(0)) - values.get(n + j, Fraction(0))
-                  for j in range(n))
-        return LPResult(OPTIMAL, sum(c * v for c, v in zip(objective, x)), x)
+        # x_j = x+_j - x-_j; the two columns are opposite, so at most one
+        # of them is basic
+        x = [Fraction(0)] * n
+        for row, b in zip(rows, basis):
+            if b < n:
+                x[b] = Fraction(row[-1], row[b])
+            elif b < 2 * n:
+                x[b - n] = -Fraction(row[-1], row[b])
+        return LPResult(OPTIMAL, sum(map(mul, objective, x), Fraction(0)), tuple(x))
 
 
 def solve_lp(objective, constraints, n) -> LPResult:

@@ -127,11 +127,11 @@ class Fan:
         for cone in self.max_cones:
             for j, c in self.walls(cone):
                 # d_j - c_j . d_sigma >= 1 is linear in d
-                row = [Fraction(0)] * nrays
-                row[j] = Fraction(1)
+                row = [0] * nrays
+                row[j] = 1
                 for ck, i in zip(c, cone):
-                    row[i] = Fraction(-ck)
-                cons.append((row, Fraction(1)))
+                    row[i] = -ck
+                cons.append((row, 1))
         res = solve_lp([0] * nrays, cons, nrays)
         if res.status != OPTIMAL:
             raise DomainError("completeness or projectivity failure: the cones "
@@ -191,9 +191,10 @@ class Fan:
         key = (d.coefficients, cone, p)
         if key not in self._sequences:
             amb = ring(p, *[f"x{i}" for i in cone])
+            r = d.denominator   # m*D is integral exactly when r divides m
 
             def rule(m: int) -> Ideal:
-                if not d.is_integral_at(m):
+                if m % r:
                     return zero_ideal(amb)
                 return chart_ideal(self, d, m, cone, p)
 
@@ -210,24 +211,39 @@ class Fan:
 
 @dataclass(frozen=True)
 class ToricDivisor:
+    """A torus-invariant Q-divisor sum_i d_i D_i, one coefficient per ray.
+
+    The constructor accepts ints (not bools) and Fractions and stores
+    Fractions; `scale` and `+` build their results from Fractions already
+    checked, so only the constructor validates."""
+
     coefficients: tuple
 
     def __post_init__(self):
         coefficients = tuple(self.coefficients)
         for c in coefficients:
-            if isinstance(c, (bool, float)):
+            if type(c) not in (int, Fraction):
                 raise DomainError(f"divisor coefficients must be exact rationals, got {c!r}")
-        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in coefficients))
+        object.__setattr__(self, "coefficients", tuple(map(Fraction, coefficients)))
+
+    @classmethod
+    def _exact(cls, coefficients: tuple) -> "ToricDivisor":
+        """The divisor of a tuple of Fractions, without the input check."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "coefficients", coefficients)
+        return d
 
     def scale(self, k) -> "ToricDivisor":
-        return ToricDivisor(tuple(k * c for c in self.coefficients))
+        if type(k) not in (int, Fraction):
+            raise DomainError(f"divisor scale factor must be an exact rational, got {k!r}")
+        return ToricDivisor._exact(tuple(k * c for c in self.coefficients))
 
     def __add__(self, other) -> "ToricDivisor":
-        return ToricDivisor(tuple(a + b for a, b in zip(self.coefficients,
-                                                        other.coefficients)))
+        return ToricDivisor._exact(tuple(a + b for a, b in zip(self.coefficients,
+                                                               other.coefficients)))
 
     def is_integral_at(self, level: int) -> bool:
-        return all((level * c).denominator == 1 for c in self.coefficients)
+        return all(level % c.denominator == 0 for c in self.coefficients)
 
     @property
     def denominator(self) -> int:
@@ -246,7 +262,8 @@ class InvariantSubvariety:
     rays: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(sorted(self.rays)))
+        object.__setattr__(self, "rays", tuple(sorted(
+            require_int(i, "ray index", least=0) for i in self.rays)))
         if not self.rays:
             raise DomainError("invariant subvariety needs at least one ray")
         if len(set(self.rays)) != len(self.rays):
@@ -468,7 +485,7 @@ def _chart_system(fan: Fan, d: ToricDivisor, level: int, cone):
     _check_length(fan, d)
     if not d.is_integral_at(level):
         raise DomainError(f"{level}*D is not an integral divisor")
-    ld = [int(level * c) for c in d.coefficients]
+    ld = [c.numerator * (level // c.denominator) for c in d.coefficients]
     n = fan.dim
     return ([(c, sum(ck * ld[i] for ck, i in zip(c, cone)) - ld[j])
              for j, c in fan.walls(cone)]
@@ -514,12 +531,8 @@ def asymptotic_ord_toric(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety) ->
 def _order_lp(fan: Fan, d: ToricDivisor, section: Polytope,
               sub: InvariantSubvariety) -> Fraction:
     """asymptotic_ord_toric on `section`, the already built P_D."""
-    objective = [Fraction(0)] * fan.dim
-    const = Fraction(0)
-    for i in sub.rays:
-        for k in range(fan.dim):
-            objective[k] += fan.rays[i][k]
-        const += d.coefficients[i]
+    objective = [sum(fan.rays[i][k] for i in sub.rays) for k in range(fan.dim)]
+    const = sum(d.coefficients[i] for i in sub.rays)
     res = section.minimize(objective)
     if res.status == INFEASIBLE:
         raise DomainError("no pluri-sections: the section polytope is empty")
@@ -547,7 +560,7 @@ def sigma(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
     if not cls.pseudo_effective:
         raise DomainError("sigma is undefined: divisor is not pseudo-effective "
                           "(the non-nef locus is everything)")
-    return _sigma_samples(fan, d, sub, _perturbation(fan, ample), caps, {})
+    return _sigma_samples(_Perturbations(fan, d, _perturbation(fan, ample)), sub, caps)
 
 
 def _perturbation(fan: Fan, ample) -> ToricDivisor:
@@ -560,21 +573,41 @@ def _perturbation(fan: Fan, ample) -> ToricDivisor:
     return ample
 
 
-def _sigma_samples(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
-                   a: ToricDivisor, caps: Caps, sections: dict) -> SigmaResult:
-    """The sigma schedule; `sections` maps eps to the section polytope of
-    D + eps*A and is filled on demand, so callers that sample many
-    subvarieties of one D share every phase 1."""
+class _Perturbations:
+    """The divisors D + eps*A of one D and one checked ample A, each built
+    once per eps together with its section polytope, so the sigma schedules
+    of every subvariety, the tau_+ chains and the stable-base-locus grid of
+    one D share them, and every phase 1."""
+
+    def __init__(self, fan: Fan, d: ToricDivisor, a: ToricDivisor):
+        self.fan, self.d, self.a = fan, d, a
+        self._divisors: dict = {}
+        self._sections: dict = {}
+
+    def divisor(self, eps) -> ToricDivisor:
+        if eps not in self._divisors:
+            self._divisors[eps] = self.d + self.a.scale(eps)
+        return self._divisors[eps]
+
+    def section(self, eps) -> Polytope:
+        if eps not in self._sections:
+            fan = self.fan
+            self._sections[eps] = Polytope(fan.polytope_constraints(self.divisor(eps)),
+                                           fan.dim)
+        return self._sections[eps]
+
+
+def _sigma_samples(perturbations: _Perturbations, sub: InvariantSubvariety,
+                   caps: Caps) -> SigmaResult:
+    """The sigma schedule of D along `sub`, sampled at D + eps*A."""
     samples = []
 
     def lines():
         # the line (slope, intercept) through each pair of consecutive samples
         eps = Fraction(1, 2)
         for k in range(caps.epsilon_depth):
-            perturbed = d + a.scale(eps)
-            if eps not in sections:
-                sections[eps] = Polytope(fan.polytope_constraints(perturbed), fan.dim)
-            val = _order_lp(fan, perturbed, sections[eps], sub)
+            val = _order_lp(perturbations.fan, perturbations.divisor(eps),
+                            perturbations.section(eps), sub)
             if samples and val < samples[-1][1]:
                 raise ContractError("ord must not decrease as the ample part shrinks")
             samples.append((eps, val))
@@ -671,18 +704,19 @@ def tau_plus_toric(fan: Fan, d: ToricDivisor, lam, cone,
     lam = check_lambda(lam)
     if not classify_divisor(fan, d).pseudo_effective:
         raise DomainError("tau_+ needs a pseudo-effective divisor")
-    return _tau_plus(fan, d, lam, cone, _perturbation(fan, ample), p, caps)
+    return _tau_plus(_Perturbations(fan, d, _perturbation(fan, ample)), lam, cone, p, caps)
 
 
-def _tau_plus(fan: Fan, d: ToricDivisor, lam, cone, a: ToricDivisor, p: int,
+def _tau_plus(perturbations: _Perturbations, lam, cone, p: int,
               caps: Caps) -> TestIdealResult:
     """tau_plus_toric for a pseudo-effective D and a checked ample A."""
+    fan = perturbations.fan
     evidences = []
 
     def members():
         eps = Fraction(1, 2)
         for k in range(1, caps.epsilon_depth + 1):
-            perturbed = d + a.scale(eps)
+            perturbed = perturbations.divisor(eps)
             # past the first eps, a perturbation with no nonzero term up to
             # m_cap ends the schedule; the first one raises in tau_toric
             if k > 1 and fan.sequence(perturbed, cone, p).first_nonzero(caps.m_cap) is None:
@@ -747,7 +781,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
                           f"Fractions, got {grid!r}")
     grid = sorted(grid, reverse=True)
     PrimeField(p)  # validates p before D is classified
-    a = _perturbation(fan, ample)
+    perturbations = _Perturbations(fan, d, _perturbation(fan, ample))
     cls = classify_divisor(fan, d)
     if not cls.pseudo_effective:
         return NonNefReport(d, "not-pseudo-effective", (), (), (), True)
@@ -763,7 +797,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
             if cls.big:
                 r = tau_toric(fan, d, m, cone, p, caps)
             else:
-                r = _tau_plus(fan, d, m, cone, a, p, caps)
+                r = _tau_plus(perturbations, m, cone, p, caps)
             evidences.append(r.evidence)
             ideals.append(r.ideal)
         tau_by_chart[cone] = ideals
@@ -771,7 +805,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     # method 3 once per eps
     sbl_members = {}
     for eps in grid:
-        rep = stable_base_locus(fan, d + a.scale(eps), caps)
+        rep = stable_base_locus(fan, perturbations.divisor(eps), caps)
         if not rep.certified:
             evidences.append(EVIDENCE_CAP)
         sbl_members[eps] = set(rep.members)
@@ -781,12 +815,11 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     finest = sbl_members[grid[-1]]
 
     # method 1: the order LPs of every subvariety share each P_{D + eps*A}
-    sections = {}
     records = []
     members = []
     sigma_of = {}
     for sub in subs:
-        sg = _sigma_samples(fan, d, sub, a, caps, sections)
+        sg = _sigma_samples(perturbations, sub, caps)
         if sg.evidence == EVIDENCE_CAP:
             evidences.append(EVIDENCE_CAP)
         # a cap-reached sigma has no value; the other two methods decide

@@ -290,7 +290,13 @@ def lattice_minimals_by_enumeration(cons, n):
             return frozenset()
         high, _ = lp_min_by_vertices([-u for u in unit], rows, n)
         box.append(range(ceil(low), floor(-high) + 1))
-    points = [w for w in product(*box)
-              if all(sum(a * x for a, x in zip(c, w)) >= r for c, r in rows)]
+    return minimal_elements([w for w in product(*box)
+                             if all(sum(a * x for a, x in zip(c, w)) >= r for c, r in rows)])
+
+
+def minimal_elements(points):
+    """Minimal elements of a set of exponent vectors under componentwise
+    <=, by comparing every pair."""
+    points = set(points)
     return frozenset(m for m in points
                      if not any(q != m and all(a <= b for a, b in zip(q, m)) for q in points))

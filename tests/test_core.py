@@ -13,8 +13,8 @@ from nonnef.asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_o
 from nonnef.caps import DEFAULT_CAPS, ENV_VARS, Caps, caps_from_env
 from nonnef.groebner import buchberger
 from nonnef.poly import Polynomial, grevlex_key, min_antichain
-from nonnef.toric import (InvariantSubvariety, ToricDivisor, base_locus_ord, builtin_fan,
-                          chart_ideal, non_nef_locus)
+from nonnef.toric import (InvariantSubvariety, ToricDivisor, asymptotic_ord_toric,
+                          base_locus_ord, builtin_fan, chart_ideal, non_nef_locus)
 from nonnef.verify import run_suite
 
 R2 = ring(2, "x", "y")
@@ -342,6 +342,8 @@ _INTEGER_ARGUMENTS = [
         R2, {v: I("p=2; vars=x,y; gens=[x]")}).term(3)),
     ("subvariety index", 0, lambda v: ord_along(I("p=2; vars=x; gens=[x]"),
                                                 CoordinateSubvariety((v,)))),
+    ("ray index", 0, lambda v: asymptotic_ord_toric(builtin_fan("p2"), ToricDivisor((1, 0, 0)),
+                                                    InvariantSubvariety((v,)))),
 ]
 
 

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnef import DomainError, ceil_split, ideal_contains, parse_poly, ring
+from nonnef import (DomainError, Ideal, ceil_split, frobenius_root, ideal_contains,
+                    parse_poly, ring)
 from nonnef.frobenius import test_ideal as tau
+from nonnef.groebner import buchberger, normal_form
 from nonnef.ideal import ideal_product, monomial_ideal
-from nonnef.poly import Polynomial
+from nonnef.poly import Polynomial, min_antichain
 from nonnef.toric import (ToricDivisor, asymptotic_ord_toric, base_locus_ord,
                           blowup_lab, builtin_fan, classify_divisor,
                           non_nef_locus, sigma, stable_base_locus,
                           tau_plus_toric)
 from nonnef.verify import run_suite
+from oracles import minimal_elements
 
 R3 = ring(3, "x", "y")
 
@@ -155,6 +158,61 @@ class TestToricChartSequenceOrder:
         seq = fan.sequence(ph + e, (0, 3), 2)
         est = asymptotic_ord(seq, CoordinateSubvariety((1,)), 8)
         assert est.upper_bound == 1 and est.value_at_cap == 1
+
+
+class TestCleanTermsConstructor:
+    """Every polynomial built from already clean terms equals the one the
+    validating constructor builds from the same terms."""
+
+    @staticmethod
+    def _random_poly(rng, amb):
+        return Polynomial(amb, {tuple(rng.randrange(5) for _ in range(amb.nvars)):
+                                rng.randrange(-3, 8) for _ in range(rng.randrange(1, 5))})
+
+    @staticmethod
+    def _assert_canonical(f):
+        ref = Polynomial(f.ring, dict(f.terms))
+        assert f.key() == ref.key() and hash(f) == hash(ref) and repr(f) == repr(ref)
+        if not ref.is_zero():
+            assert f.leading_monomial() == ref.leading_monomial()
+
+    def test_fast_paths_match_the_public_constructor(self, monkeypatch):
+        # record every polynomial the fast path builds, inside the results
+        # and inside the intermediate steps, and check it after the fact:
+        # that also catches a terms dict changed after it was handed over
+        fast = []
+        clean = Polynomial._clean.__func__
+
+        def recording(cls, amb, terms):
+            fast.append(clean(cls, amb, terms))
+            return fast[-1]
+
+        monkeypatch.setattr(Polynomial, "_clean", classmethod(recording))
+        rng = random.Random(19)
+        for _ in range(120):
+            p = rng.choice([2, 3, 5])
+            amb = ring(p, *["x", "y", "z"][:rng.choice([2, 3])])
+            f, g, h = (self._random_poly(rng, amb) for _ in range(3))
+            e = rng.randrange(1, 3)
+            results = [f * g, f.frobenius(p ** e), f ** rng.randrange(0, 2 * p + 2),
+                       f.scale_monomial(tuple(rng.randrange(3) for _ in range(amb.nvars))),
+                       normal_form(f * g + h, [g, h])]
+            if not (f.is_zero() or f.is_constant()):
+                results += frobenius_root(Ideal(amb, [f, g * h]), e).generators
+            results += buchberger([g, h], 10_000)
+            for r in results:
+                self._assert_canonical(r)
+        assert len(fast) > 1000
+        for r in fast:
+            self._assert_canonical(r)
+
+    def test_min_antichain_matches_pairwise_minimal_elements(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            n = rng.choice([1, 2, 3])
+            points = [tuple(rng.randrange(6) for _ in range(n))
+                      for _ in range(rng.randrange(1, 25))]
+            assert min_antichain(points) == minimal_elements(points)
 
 
 @settings(max_examples=60, deadline=None)

@@ -103,6 +103,23 @@ def test_one_polytope_answers_every_objective_like_solve_lp():
     assert 0 < feasible < 120
 
 
+def test_integer_objectives_answer_like_fraction_objectives():
+    # LPResult equality alone would take the int 0 for Fraction(0)
+    optimal = 0
+    for cons, n, rng in _random_bounded_lps(53, 60):
+        poly = Polytope(cons, n)
+        for obj in ([0] * n, [rng.randrange(-3, 4) for _ in range(n)]):
+            res = poly.minimize(obj)
+            want = poly.minimize([Fraction(c) for c in obj])
+            assert (res.status, res.value, res.point) == (want.status, want.value, want.point)
+            if res.status == OPTIMAL:
+                optimal += 1
+                for r in (res, want):
+                    assert type(r.value) is Fraction
+                    assert all(type(v) is Fraction for v in r.point)
+    assert optimal > 40
+
+
 def test_infeasible_polytope_answers_infeasible_for_every_objective():
     poly = Polytope([((1, 1), 3), ((-1, 0), 0), ((0, -1), -1)], 2)  # x <= 0, y <= 1
     assert not poly.feasible

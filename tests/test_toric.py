@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from math import inf
 
@@ -104,6 +105,11 @@ class TestDomainChecks:
     @pytest.mark.parametrize("rays", [(7,), (-1,), (0, 1, 2)])
     def test_subvariety_outside_the_fan(self, rays):
         fan = builtin_fan("p2")
+        if min(rays) < 0:
+            # no ray has a negative index: refused before any fan is consulted
+            with pytest.raises(DomainError, match="^ray index must be an integer >= 0"):
+                InvariantSubvariety(rays)
+            return
         sub = InvariantSubvariety(rays)
         with pytest.raises(DomainError, match="does not span a cone"):
             asymptotic_ord_toric(fan, divisor(1, 0, 0), sub)
@@ -644,9 +650,12 @@ def test_chart_level_must_be_a_positive_integer(level):
         base_locus_ord(fan, divisor(1, 0, 0), level, InvariantSubvariety((0,)))
 
 
-@pytest.mark.parametrize("coefficient", [0.1, 0.5, True, False])
+@pytest.mark.parametrize("coefficient", [0.1, 0.5, True, False, "x", "1/2", None,
+                                         Decimal("0.1"), 1j])
 def test_divisor_coefficients_must_be_exact(coefficient):
     with pytest.raises(DomainError, match="exact rationals"):
         divisor(coefficient, 0, 0)
     with pytest.raises(DomainError, match="exact rationals"):
         ToricDivisor((1, coefficient, Fraction(1, 2)))
+    with pytest.raises(DomainError, match="exact rational"):
+        divisor(1, 0, 0).scale(coefficient)
