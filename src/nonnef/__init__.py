@@ -1,6 +1,6 @@
 """Exact test ideals over F_p and the toric non-nef laboratory."""
 
-from .caps import Caps, DEFAULT_CAPS, caps_from_env
+from .caps import Caps, DEFAULT_CAPS
 from .errors import ContractError, DomainError, NonnefError, ResourceLimitError
 from .field import PrimeField
 from .frobenius import (CeilSplit, JumpReport, Plateau,
@@ -14,7 +14,7 @@ from .parsing import format_ideal, format_rational, parse_ideal, parse_poly, par
 from .poly import Polynomial, Ring, ring
 
 __all__ = [
-    "Caps", "DEFAULT_CAPS", "caps_from_env",
+    "Caps", "DEFAULT_CAPS",
     "ContractError", "DomainError", "NonnefError", "ResourceLimitError",
     "PrimeField", "Polynomial", "Ring", "ring",
     "Ideal", "monomial_ideal", "unit_ideal", "zero_ideal",

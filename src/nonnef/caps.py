@@ -8,10 +8,9 @@ is a positive integer; anything else is a DomainError naming the field.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .errors import DomainError, require_int
+from .errors import require_int
 
 
 @dataclass(frozen=True)
@@ -32,24 +31,5 @@ class Caps:
         for f in fields(self):
             require_int(getattr(self, f.name), f"cap {f.name}")
 
-    def with_overrides(self, **kw) -> "Caps":
-        return replace(self, **kw)
-
-
-#: Environment variables recognized by :func:`caps_from_env`.
-ENV_VARS = {f"NONNEF_{f.name.upper()}": f.name for f in fields(Caps)}
 
 DEFAULT_CAPS = Caps()
-
-
-def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
-    """Defaults overridden by NONNEF_* environment variables."""
-    overrides = {}
-    for var, field in ENV_VARS.items():
-        raw = os.environ.get(var)
-        if raw is not None:
-            try:
-                overrides[field] = int(raw)
-            except ValueError:
-                raise DomainError(f"{var} must be an integer, got {raw!r}") from None
-    return base.with_overrides(**overrides) if overrides else base

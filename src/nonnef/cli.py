@@ -13,13 +13,13 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import inf
 
 from .asymptotic import (CoordinateSubvariety, GradedSequence, asymptotic_ord,
                          asymptotic_test_ideal, ord_along)
-from .caps import Caps, caps_from_env
+from .caps import DEFAULT_CAPS, Caps
 from .errors import ContractError, DomainError, ResourceLimitError
 from .frobenius import (f_jumping_numbers, frobenius_root, mixed_test_ideal,
                         test_ideal)
@@ -229,7 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c = cmd("aord", help="asymptotic order of a graded sequence")
     c.add_argument("--seq", required=True)
     c.add_argument("--vars", required=True)
-    c.add_argument("--sample-cap", type=int, default=16)
+    c.add_argument("--sample-cap", type=int, default=16,
+                   help="sample the terms a_m for m up to this bound; "
+                        "--m-cap does not apply here")
 
     c = cmd("atau", help="asymptotic test ideal of a graded sequence")
     c.add_argument("--seq", required=True)
@@ -277,10 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _caps(args) -> Caps:
-    base = caps_from_env()
-    overrides = {f.name: getattr(args, f.name) for f in fields(Caps)
-                 if getattr(args, f.name) is not None}
-    return base.with_overrides(**overrides) if overrides else base
+    return replace(DEFAULT_CAPS, **{f.name: getattr(args, f.name) for f in fields(Caps)
+                                    if getattr(args, f.name) is not None})
 
 
 def _dispatch(args) -> int:

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .ideal import Ideal
-from .poly import Polynomial, Ring, ring
+from .poly import VARIABLE_NAME, Polynomial, Ring, ring
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(.))")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({VARIABLE_NAME.pattern})|(\^)|(\*)|(\+)|(-)|(.))")
 
 
 def _tokenize_poly(text: str, offset: int):

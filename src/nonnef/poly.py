@@ -15,6 +15,7 @@ mutates the dict.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import add, le, neg
 
@@ -22,6 +23,9 @@ from .errors import ContractError, DomainError
 from .field import PrimeField
 
 Monomial = tuple  # exponent vector, one natural number per variable
+
+#: A variable name, as the ideal grammar reads one.
+VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,9 @@ class Ring:
     variables: tuple
 
     def __post_init__(self):
+        for v in self.variables:
+            if not isinstance(v, str) or not VARIABLE_NAME.fullmatch(v):
+                raise DomainError(f"variable name {v!r} must match {VARIABLE_NAME.pattern}")
         if len(set(self.variables)) != len(self.variables):
             raise DomainError(f"duplicate variable names in {self.variables!r}")
         if not self.variables:

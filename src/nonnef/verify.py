@@ -8,7 +8,7 @@ Cap-flagged evaluations are skipped, never counted as violations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -20,9 +20,6 @@ from .frobenius import EVIDENCE_CAP, ceil_split, test_ideal
 from .ideal import Ideal, ideal_contains, ideal_power, ideal_product, monomial_ideal
 from .poly import ring
 from .toric import ToricDivisor, builtin_fan, non_nef_locus
-
-SUITES = ("subadditivity", "estimate-order", "asymptotic-props",
-          "toric-equivalences", "picard-bound", "ceil-identity", "all")
 
 
 @dataclass(frozen=True)
@@ -178,10 +175,12 @@ def _divisor_grid(fan, budget: int, seed: int):
     return [ToricDivisor(c) for c in full]
 
 
-def run_toric_equivalences(seed: int, budget: int, caps: Caps = DEFAULT_CAPS) -> SuiteResult:
-    """Three-method agreement of the non-nef locus on the built-in fans.
-    Any disagreement raises inside non_nef_locus; nef divisors must come
-    back empty."""
+def _toric_sweep(seed: int, budget: int, caps: Caps = DEFAULT_CAPS) -> SuiteResult:
+    """non_nef_locus on seeded divisors of the built-in surfaces.  It raises a
+    ContractError when its three methods disagree, when a nef divisor gets a
+    nonempty report, and when B_- has more codimension-one members than the
+    Picard number; that error is the counterexample.  Both toric suite names
+    run this sweep, and `run_suite` names its result."""
     cases = skipped = 0
     per_fan = max(1, budget // 4)
     for name in ("p2", "p1xp1", "f1", "f2"):
@@ -190,33 +189,12 @@ def run_toric_equivalences(seed: int, budget: int, caps: Caps = DEFAULT_CAPS) ->
             try:
                 rep = non_nef_locus(fan, d, caps=caps)
             except ContractError as exc:
-                return SuiteResult("toric-equivalences", cases, skipped, 1,
+                return SuiteResult("toric-sweep", cases, skipped, 1,
                                    {"fan": name, "divisor": repr(d), "error": str(exc)})
             cases += 1
             if not rep.certified:
                 skipped += 1
-            if rep.status == "nef" and rep.positive_sigma:
-                return SuiteResult("toric-equivalences", cases, skipped, 1,
-                                   {"fan": name, "divisor": repr(d),
-                                    "error": "nef divisor with nonempty report"})
-    return SuiteResult("toric-equivalences", cases, skipped, 0)
-
-
-def run_picard_bound(seed: int, budget: int, caps: Caps = DEFAULT_CAPS) -> SuiteResult:
-    """Codimension-one members of B_- never exceed the Picard number."""
-    cases = skipped = 0
-    per_fan = max(1, budget // 4)
-    for name in ("p2", "p1xp1", "f1", "f2"):
-        fan = builtin_fan(name)
-        for d in _divisor_grid(fan, per_fan, seed):
-            rep = non_nef_locus(fan, d, caps=caps)
-            cases += 1
-            codim1 = [s for s, _ in rep.positive_sigma if s.codim == 1]
-            if len(codim1) > fan.picard_number:
-                return SuiteResult("picard-bound", cases, skipped, 1,
-                                   {"fan": name, "divisor": repr(d),
-                                    "count": len(codim1), "rho": fan.picard_number})
-    return SuiteResult("picard-bound", cases, skipped, 0)
+    return SuiteResult("toric-sweep", cases, skipped, 0)
 
 
 def run_ceil_identity(seed: int, budget: int, caps: Caps = DEFAULT_CAPS) -> SuiteResult:
@@ -234,23 +212,16 @@ def run_ceil_identity(seed: int, budget: int, caps: Caps = DEFAULT_CAPS) -> Suit
     return SuiteResult("ceil-identity", budget, 0, 0)
 
 
-_RUNNERS = {
-    "subadditivity": run_subadditivity,
-    "estimate-order": run_estimate_order,
-    "asymptotic-props": run_asymptotic_props,
-    "toric-equivalences": run_toric_equivalences,
-    "picard-bound": run_picard_bound,
-    "ceil-identity": run_ceil_identity,
+# suite name -> (runner, default budget), in the order `verify all` runs them
+_SUITE_TABLE = {
+    "subadditivity": (run_subadditivity, 200),
+    "estimate-order": (run_estimate_order, 200),
+    "asymptotic-props": (run_asymptotic_props, 60),
+    "toric-equivalences": (_toric_sweep, 80),
+    "picard-bound": (_toric_sweep, 80),
+    "ceil-identity": (run_ceil_identity, 10000),
 }
-
-_DEFAULT_BUDGETS = {
-    "subadditivity": 200,
-    "estimate-order": 200,
-    "asymptotic-props": 60,
-    "toric-equivalences": 80,
-    "picard-bound": 80,
-    "ceil-identity": 10000,
-}
+SUITES = (*_SUITE_TABLE, "all")
 
 
 def run_suite(name: str, seed: int = 0, budget: int = None,
@@ -259,9 +230,13 @@ def run_suite(name: str, seed: int = 0, budget: int = None,
     seed.  Returns a list of SuiteResult."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; have {SUITES}")
-    names = [s for s in SUITES if s != "all"] if name == "all" else [name]
+    names = list(_SUITE_TABLE) if name == "all" else [name]
+    done = {}  # one run per (runner, budget): the two toric suites share a sweep
     out = []
     for n in names:
-        b = _DEFAULT_BUDGETS[n] if budget is None else require_int(budget, "budget")
-        out.append(_RUNNERS[n](seed, b, caps))
+        runner, default = _SUITE_TABLE[n]
+        b = default if budget is None else require_int(budget, "budget")
+        if (runner, b) not in done:
+            done[runner, b] = runner(seed, b, caps)
+        out.append(replace(done[runner, b], suite=n))
     return out

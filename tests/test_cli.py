@@ -102,6 +102,42 @@ class TestBasicVerbs:
         assert payload["ample"] and payload["nef"] and payload["big"]
 
 
+class TestTextOutput:
+    """Without --json the CLI prints the result alone, one key per line."""
+
+    def test_root(self):
+        code, out = run_cli(["root", "--ideal", "p=2; vars=x,y; gens=[x^3]", "--e", "1"])
+        assert code == 0 and out == "ideal: p=2; vars=x,y; gens=[x]\n"
+
+    def test_jumps_nests_lists_and_dicts(self):
+        code, out = run_cli(["jumps", "--ideal", "p=2; vars=x; gens=[x^2]",
+                             "--max", "1", "--denom-bound", "4"])
+        assert code == 0 and out == (
+            "certified: True\n"
+            "interval_end: 1\n"
+            "jumps:\n"
+            "  - 1/2\n"
+            "  - 1\n"
+            "plateaus:\n"
+            "    end: 1/2\n"
+            "    ideal: p=2; vars=x; gens=[1]\n"
+            "    start: 0\n"
+            "    --\n"
+            "    end: 1\n"
+            "    ideal: p=2; vars=x; gens=[x]\n"
+            "    start: 1/2\n"
+            "    --\n"
+            "    end: 1\n"
+            "    ideal: p=2; vars=x; gens=[x^2]\n"
+            "    start: 1\n"
+            "    --\n")
+
+    def test_error_prints_kind_and_message(self):
+        code, out = run_cli(["tau", "--ideal", "p=2; vars=x; gens=[x]", "--lambda", "-1"])
+        assert code == 1 and out == ("error: exponent must be non-negative, got -1\n"
+                                     "kind: DomainError\n")
+
+
 class TestSequenceSpecs:
     def test_power_spec(self):
         code, out = run_cli(["--json", "atau", "--seq",
@@ -219,8 +255,10 @@ class TestExitCodes:
         assert "tau_level_cap" in payload["error"]
 
     @pytest.mark.parametrize("names, message", [("x,x", "duplicate variable names"),
-                                                (",", "at least one variable")],
-                             ids=["duplicate", "empty"])
+                                                (",", "at least one variable"),
+                                                ("x,2", "variable name '2'"),
+                                                ("x,y z", "variable name 'y z'")],
+                             ids=["duplicate", "empty", "digit", "space"])
     def test_bad_variable_list_is_domain_error(self, names, message):
         code, out = run_cli(["--json", "tau", "--ideal", f"p=2; vars={names}; gens=[1]",
                              "--lambda", "1"])
@@ -314,6 +352,18 @@ class TestDeterminism:
         code2, out2 = run_cli(list(argv))
         assert code1 == code2 and out1 == out2
 
+    def test_environment_does_not_change_answers(self, monkeypatch):
+        # the caps are set by flags only; variables named like them are ignored
+        argv = ["--json", "tau", "--ideal", "p=2; vars=x,y; gens=[x^2+y^3]",
+                "--lambda", "5/6"]
+        expected = run_cli(list(argv))
+        for var in ("NONNEF_E_MAX_MONOMIAL", "NONNEF_E_MAX_GENERAL", "NONNEF_WINDOW",
+                    "NONNEF_M_CAP", "NONNEF_EPSILON_DEPTH", "NONNEF_GB_PAIR_CAP",
+                    "NONNEF_POWER_DEGREE_CAP"):
+            monkeypatch.setenv(var, "1")
+        assert run_cli(list(argv)) == expected
+        assert json.loads(expected[1])["result"]["evidence"] == "window-stable"
+
     def test_stdin_ideal(self):
         code, out = run_cli(["--json", "tau", "--ideal", "-", "--lambda", "1"],
                             stdin="p=2; vars=x; gens=[x^2]")
@@ -370,33 +420,6 @@ class TestFanFile:
         payload = json.loads(out)["result"]
         assert code == 1 and payload["kind"] == "DomainError"
         assert message in payload["error"]
-
-
-class TestEnvOverrides:
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("NONNEF_E_MAX_MONOMIAL", "2")
-        code, out = run_cli(["--json", "tau", "--ideal",
-                             "p=2; vars=x,y; gens=[x, y]", "--lambda", "9/5"])
-        assert json.loads(out)["result"]["evidence"] == "cap-reached"
-
-    def test_zero_env_cap_is_domain_error(self, monkeypatch):
-        monkeypatch.setenv("NONNEF_M_CAP", "0")
-        code, out = run_cli(["--json", "sbl", "--fan", "builtin:p2", "--divisor", "1,0,0"])
-        payload = json.loads(out)["result"]
-        assert code == 1 and payload["kind"] == "DomainError"
-        assert "m_cap" in payload["error"]
-
-    def test_non_integer_env_cap_is_domain_error(self, monkeypatch):
-        monkeypatch.setenv("NONNEF_WINDOW", "two")
-        code, out = run_cli(["--json", "tau", "--ideal", "p=2; vars=x; gens=[x]",
-                             "--lambda", "1"])
-        assert code == 1 and "NONNEF_WINDOW" in json.loads(out)["result"]["error"]
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("NONNEF_E_MAX_MONOMIAL", "2")
-        code, out = run_cli(["--json", "--e-max-monomial", "10", "tau", "--ideal",
-                             "p=2; vars=x,y; gens=[x, y]", "--lambda", "9/5"])
-        assert json.loads(out)["result"]["evidence"] == "window-stable"
 
 
 class TestVerifyVerb:

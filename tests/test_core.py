@@ -1,6 +1,8 @@
 """Polynomials, ideals, Groebner bases, the text grammar, computation caps."""
 
 import random
+import re
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,12 +12,14 @@ from nonnef import (ContractError, DomainError, Ideal, PrimeField, ResourceLimit
                     ideal_product, monomial_ideal, parse_ideal, parse_poly, ring,
                     unit_ideal, zero_ideal)
 from nonnef.asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_ord, ord_along
-from nonnef.caps import DEFAULT_CAPS, ENV_VARS, Caps, caps_from_env
+from nonnef.caps import DEFAULT_CAPS, Caps
 from nonnef.groebner import buchberger
 from nonnef.poly import Polynomial, grevlex_key, min_antichain
 from nonnef.toric import (InvariantSubvariety, ToricDivisor, asymptotic_ord_toric,
                           base_locus_ord, builtin_fan, chart_ideal, non_nef_locus)
 from nonnef.verify import run_suite
+
+CAP_FIELDS = sorted(f.name for f in fields(Caps))
 
 R2 = ring(2, "x", "y")
 R3 = ring(3, "x", "y")
@@ -42,13 +46,25 @@ def test_mul_hand_expansion_char3():
     assert f * g == parse_poly("x^2 + 2", R3)
 
 
-@pytest.mark.parametrize("names, message", [(("x", "x"), "duplicate variable names"),
-                                            (("x", "y", "x"), "duplicate variable names"),
-                                            ((), "at least one variable")],
-                         ids=["duplicate", "later-duplicate", "empty"])
+# a variable name must be one the ideal grammar reads back
+_UNREADABLE_NAMES = ["2", "y z", "x-1", "x^2", "", "é", "x\n", 1, None]
+
+
+@pytest.mark.parametrize("names, message", [
+    (("x", "x"), "duplicate variable names"),
+    (("x", "y", "x"), "duplicate variable names"),
+    ((), "at least one variable"),
+    *((("x", name), f"variable name {re.escape(repr(name))}") for name in _UNREADABLE_NAMES),
+], ids=["duplicate", "later-duplicate", "empty",
+        *(f"unreadable-{i}" for i in range(len(_UNREADABLE_NAMES)))])
 def test_bad_variable_list_is_domain_error(names, message):
     with pytest.raises(DomainError, match=message):
         ring(2, *names)
+
+
+def test_grammar_names_round_trip():
+    a = monomial_ideal(ring(3, "x_1", "_y", "Z9"), [(1, 0, 2), (0, 1, 0)])
+    assert parse_ideal(repr(a)) == a
 
 
 def test_mul_ambient_mismatch():
@@ -298,28 +314,23 @@ class TestGroebnerCacheValidation:
 
 
 class TestCaps:
-    @pytest.mark.parametrize("field", sorted(ENV_VARS.values()))
+    @pytest.mark.parametrize("field", CAP_FIELDS)
     @pytest.mark.parametrize("value", [0, -1, 2.0])
     def test_every_field_must_be_a_positive_integer(self, field, value):
         with pytest.raises(DomainError, match=field):
             Caps(**{field: value})
         with pytest.raises(DomainError, match=field):
-            DEFAULT_CAPS.with_overrides(**{field: value})
+            replace(DEFAULT_CAPS, **{field: value})
 
     def test_one_is_accepted(self):
-        caps = Caps(**{field: 1 for field in ENV_VARS.values()})
+        caps = Caps(**{field: 1 for field in CAP_FIELDS})
         assert caps.window == caps.epsilon_depth == 1
-
-    def test_env_zero_names_the_field(self, monkeypatch):
-        monkeypatch.setenv("NONNEF_EPSILON_DEPTH", "0")
-        with pytest.raises(DomainError, match="epsilon_depth"):
-            caps_from_env()
 
 
 # (argument name, least legal value, call with the value under test)
 _INTEGER_ARGUMENTS = [
     *((f"cap {field}", 1, lambda v, field=field: Caps(**{field: v}))
-      for field in sorted(ENV_VARS.values())),
+      for field in CAP_FIELDS),
     ("denom_bound", 1, lambda v: f_jumping_numbers(I("p=2; vars=x; gens=[x]"), 1, v)),
     ("tau_level_cap", 1, lambda v: non_nef_locus(builtin_fan("p2"), ToricDivisor((1, 0, 0)),
                                                  tau_level_cap=v)),

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnef import (DomainError, Ideal, ceil_split, frobenius_root, ideal_contains,
-                    parse_poly, ring)
+import nonnef.verify as verify_mod
+from nonnef import (ContractError, DomainError, Ideal, ceil_split, frobenius_root,
+                    ideal_contains, parse_poly, ring)
 from nonnef.frobenius import test_ideal as tau
 from nonnef.groebner import buchberger, normal_form
 from nonnef.ideal import ideal_product, monomial_ideal
@@ -242,3 +243,31 @@ def test_poly_ring_laws_hypothesis(terms_f, terms_g):
 def test_run_suite_rejects_a_budget_below_one(budget):
     with pytest.raises(DomainError, match="budget"):
         run_suite("ceil-identity", 0, budget)
+
+
+def test_verify_all_runs_the_toric_sweep_once(monkeypatch):
+    calls = []
+
+    def counting(fan, d, **kw):
+        calls.append(d)
+        return non_nef_locus(fan, d, **kw)
+
+    monkeypatch.setattr(verify_mod, "non_nef_locus", counting)
+    results = {r.suite: r for r in run_suite("all", 0, 8)}
+    assert len(calls) == 8
+    assert results["toric-equivalences"].cases == results["picard-bound"].cases == 8
+
+
+def test_toric_contract_error_is_a_counterexample(monkeypatch):
+    def failing(fan, d, **kw):
+        raise ContractError("codimension-one members exceed the Picard number")
+
+    monkeypatch.setattr(verify_mod, "non_nef_locus", failing)
+    results = run_suite("all", 0, 4)
+    assert [r.suite for r in results] == ["subadditivity", "estimate-order",
+                                          "asymptotic-props", "toric-equivalences",
+                                          "picard-bound", "ceil-identity"]
+    for r in results[3:5]:
+        assert r.violations == 1 and r.cases == 0
+        assert r.counterexample["fan"] == "p2"
+        assert r.counterexample["error"] == "codimension-one members exceed the Picard number"

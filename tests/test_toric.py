@@ -8,7 +8,8 @@ from math import inf
 
 import pytest
 
-from nonnef import Caps, DomainError
+from nonnef import Caps, DomainError, f_jumping_numbers, parse_ideal
+from nonnef import test_ideal as tau
 from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor, _chart_system,
                           _lattice_minimals_rec, _perturbation, asymptotic_ord_toric,
                           base_locus_ord, blowup_lab, builtin_fan, chart_ideal,
@@ -650,8 +651,11 @@ def test_chart_level_must_be_a_positive_integer(level):
         base_locus_ord(fan, divisor(1, 0, 0), level, InvariantSubvariety((0,)))
 
 
-@pytest.mark.parametrize("coefficient", [0.1, 0.5, True, False, "x", "1/2", None,
-                                         Decimal("0.1"), 1j])
+# values that are not an int (a bool is not) or a Fraction
+INEXACT = [0.1, 0.5, True, False, "x", "1/2", None, Decimal("0.1"), 1j]
+
+
+@pytest.mark.parametrize("coefficient", INEXACT)
 def test_divisor_coefficients_must_be_exact(coefficient):
     with pytest.raises(DomainError, match="exact rationals"):
         divisor(coefficient, 0, 0)
@@ -659,3 +663,14 @@ def test_divisor_coefficients_must_be_exact(coefficient):
         ToricDivisor((1, coefficient, Fraction(1, 2)))
     with pytest.raises(DomainError, match="exact rational"):
         divisor(1, 0, 0).scale(coefficient)
+
+
+@pytest.mark.parametrize("lam, message", [*((v, "an int or a Fraction") for v in INEXACT),
+                                         (-1, "non-negative"), (Fraction(-1, 2), "non-negative")])
+def test_exponents_must_be_exact_and_non_negative(lam, message):
+    a = parse_ideal("p=2; vars=x; gens=[x]")
+    for call in (lambda: tau(a, lam),
+                 lambda: f_jumping_numbers(a, lam, 12),
+                 lambda: tau_toric(builtin_fan("blowup-p2"), divisor(0, 0, 2, 1), lam, (0, 3))):
+        with pytest.raises(DomainError, match=f"^exponent must be {message}"):
+            call()
