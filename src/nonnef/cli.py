@@ -20,7 +20,7 @@ from math import inf
 from .asymptotic import (CoordinateSubvariety, GradedSequence, asymptotic_ord,
                          asymptotic_test_ideal, ord_along)
 from .caps import DEFAULT_CAPS, Caps
-from .errors import ContractError, DomainError, ResourceLimitError
+from .errors import ContractError, DomainError, ResourceLimitError, require_int
 from .frobenius import (f_jumping_numbers, frobenius_root, mixed_test_ideal,
                         test_ideal)
 from .ideal import Ideal
@@ -304,9 +304,10 @@ def _dispatch(args) -> int:
         z = _load_coordinate_subvariety(args.vars, a.ring)
         return _emit(args, verb, {"ord": ord_along(a, z)})
     if verb == "aord":
+        sample_cap = require_int(args.sample_cap, "sample_cap")
         seq = _load_sequence(args.seq)
         z = _load_coordinate_subvariety(args.vars, seq.ring)
-        return _emit(args, verb, asymptotic_ord(seq, z, args.sample_cap))
+        return _emit(args, verb, asymptotic_ord(seq, z, sample_cap))
     if verb == "atau":
         seq = _load_sequence(args.seq)
         return _emit(args, verb, asymptotic_test_ideal(seq, parse_rational(args.lam), caps))

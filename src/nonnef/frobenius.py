@@ -90,8 +90,6 @@ def frobenius_power(a: Ideal, e: int) -> Ideal:
     q = a.ring.field.p ** require_int(e, "Frobenius iterate e", least=0)
     if a.is_zero() or q == 1:
         return a
-    if a.is_monomial:
-        return monomial_ideal(a.ring, [tuple(q * c for c in v) for v in a.monomials])
     return Ideal(a.ring, [g.frobenius(q) for g in a.generators])
 
 
@@ -118,9 +116,6 @@ def frobenius_root(a: Ideal, e: int) -> Ideal:
     # p^k > every exponent once k is its bit length: deeper roots floor to 0
     top = max(max(m) for g in a.generators for m in g.terms)
     q = a.ring.field.p ** min(e, top.bit_length())
-    if a.is_monomial:
-        return monomial_ideal(a.ring, min_antichain(
-            tuple(c // q for c in v) for v in a.monomials))
     zero = (0,) * a.ring.nvars
     roots = {}  # bucket polynomials, deduplicated by their term sets
     for f in a.generators:

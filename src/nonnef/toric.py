@@ -767,10 +767,14 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
 
       1. the exact LP sigma invariant (positive iff member; no vote when
          its schedule ends cap-reached),
-      2. vanishing of the chart test ideals tau(||mD||) (big case) or
-         tau_+(m||D||) (pseudo-effective case) for some m <= tau_level_cap,
+      2. vanishing of the chart test ideal tau(tau_level_cap * ||D||) (big
+         case) or tau_+(tau_level_cap * ||D||) (pseudo-effective case),
       3. membership in the stable base locus of D + eps*A on a shrinking
          eps grid.
+
+    B_-(D) is the union over m of V(tau(m||D||)); the test ideals shrink as
+    m grows, so its part for m <= tau_level_cap is V(tau(tau_level_cap||D||))
+    alone, one evaluation per chart.  Of method 2, `certified` sees only it.
 
     Disagreement raises: the three characterizations are theorems, so a
     mismatch is an implementation bug, not data."""
@@ -787,20 +791,15 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
         return NonNefReport(d, "not-pseudo-effective", (), (), (), True)
     subs = fan.invariant_subvarieties()
 
-    # method 2 once per chart: tau ideals at integer exponents
+    # method 2 once per chart, at the single level tau_level_cap
     charts = sorted({fan.chart_for(s)[0] for s in subs})
     tau_by_chart = {}
     evidences = []
     for cone in charts:
-        ideals = []
-        for m in range(1, tau_level_cap + 1):
-            if cls.big:
-                r = tau_toric(fan, d, m, cone, p, caps)
-            else:
-                r = _tau_plus(perturbations, m, cone, p, caps)
-            evidences.append(r.evidence)
-            ideals.append(r.ideal)
-        tau_by_chart[cone] = ideals
+        r = (tau_toric(fan, d, tau_level_cap, cone, p, caps) if cls.big
+             else _tau_plus(perturbations, tau_level_cap, cone, p, caps))
+        evidences.append(r.evidence)
+        tau_by_chart[cone] = r.ideal
 
     # method 3 once per eps
     sbl_members = {}
@@ -826,14 +825,14 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
         lp_member = None if sg.value is None else sg.value > 0
         cone, positions = fan.chart_for(sub)
         z = CoordinateSubvariety(positions)
-        tau_member = any(ord_along(t, z) >= 1 for t in tau_by_chart[cone])
+        tau_member = ord_along(tau_by_chart[cone], z) >= 1
         bl_member = sub in finest
         if tau_member != bl_member or lp_member not in (None, tau_member):
             hint = ""
             if lp_member and bl_member and not tau_member:
-                hint = (f" (no vanishing found among tau levels m <= "
-                        f"{tau_level_cap}; a larger tau_level_cap may be needed "
-                        f"before suspecting the implementation)")
+                hint = (f" (tau at the level tau_level_cap={tau_level_cap} does not "
+                        f"vanish; it shrinks as the level grows, so a larger cap may "
+                        f"be needed before suspecting the implementation)")
             raise ContractError(
                 f"non-nef membership methods disagree at {sub} for D={d}: "
                 f"sigma>0 is {lp_member}, tau-vanishing is {tau_member}, "

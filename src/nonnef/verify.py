@@ -191,8 +191,9 @@ def _toric_sweep(seed: int, budget: int, caps: Caps = DEFAULT_CAPS) -> SuiteResu
             except ContractError as exc:
                 return SuiteResult("toric-sweep", cases, skipped, 1,
                                    {"fan": name, "divisor": repr(d), "error": str(exc)})
-            cases += 1
-            if not rep.certified:
+            if rep.certified:
+                cases += 1
+            else:
                 skipped += 1
     return SuiteResult("toric-sweep", cases, skipped, 0)
 

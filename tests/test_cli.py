@@ -254,6 +254,13 @@ class TestExitCodes:
         assert code == 1 and payload["kind"] == "DomainError"
         assert "tau_level_cap" in payload["error"]
 
+    def test_non_positive_sample_cap_names_the_flag(self):
+        code, out = run_cli(["--json", "aord", "--seq", "table 1:{p=2; vars=x,y; gens=[x]}",
+                             "--vars", "x", "--sample-cap", "0"])
+        payload = json.loads(out)["result"]
+        assert code == 1 and payload["kind"] == "DomainError"
+        assert payload["error"] == "sample_cap must be a positive integer, got 0"
+
     @pytest.mark.parametrize("names, message", [("x,x", "duplicate variable names"),
                                                 (",", "at least one variable"),
                                                 ("x,2", "variable name '2'"),

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonnef.verify as verify_mod
-from nonnef import (ContractError, DomainError, Ideal, ceil_split, frobenius_root,
-                    ideal_contains, parse_poly, ring)
+from nonnef import (Caps, ContractError, DomainError, Ideal, ceil_split,
+                    frobenius_root, ideal_contains, parse_poly, ring)
 from nonnef.frobenius import test_ideal as tau
 from nonnef.groebner import buchberger, normal_form
 from nonnef.ideal import ideal_product, monomial_ideal
@@ -256,6 +256,20 @@ def test_verify_all_runs_the_toric_sweep_once(monkeypatch):
     results = {r.suite: r for r in run_suite("all", 0, 8)}
     assert len(calls) == 8
     assert results["toric-equivalences"].cases == results["picard-bound"].cases == 8
+
+
+def test_uncertified_toric_report_counts_only_as_skipped(monkeypatch):
+    calls = []
+
+    def counting(fan, d, **kw):
+        calls.append(d)
+        return non_nef_locus(fan, d, **kw)
+
+    monkeypatch.setattr(verify_mod, "non_nef_locus", counting)
+    # one eps sample gives sigma no slope, so every pseudo-effective D is capped
+    [result] = run_suite("toric-equivalences", 0, 12, Caps(epsilon_depth=1))
+    assert result.skipped_cap_flagged > 0 and result.violations == 0
+    assert result.cases + result.skipped_cap_flagged == len(calls) == 12
 
 
 def test_toric_contract_error_is_a_counterexample(monkeypatch):

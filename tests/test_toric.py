@@ -8,8 +8,9 @@ from math import inf
 
 import pytest
 
-from nonnef import Caps, DomainError, f_jumping_numbers, parse_ideal
+from nonnef import Caps, ContractError, DomainError, f_jumping_numbers, parse_ideal, toric
 from nonnef import test_ideal as tau
+from nonnef.asymptotic import CoordinateSubvariety, ord_along
 from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor, _chart_system,
                           _lattice_minimals_rec, _perturbation, asymptotic_ord_toric,
                           base_locus_ord, blowup_lab, builtin_fan, chart_ideal,
@@ -395,6 +396,68 @@ class TestNonNef:
         del polytopes[:]
         non_nef_locus(fan, divisor(*coeffs), ample=fan.ample)
         assert len(polytopes) == 1 + 4
+
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_single_tau_level_matches_every_level_up_to_the_cap(self, cap):
+        """tau_member is the rule it replaced: tau(m||D||), or tau_+ when D
+        is not big, vanishes along Z for some m <= tau_level_cap.  Where the
+        methods disagree, that rule finds no vanishing at the named Z either."""
+        kinds = Counter()
+        for name in FANS:
+            fan = builtin_fan(name)
+            rng = random.Random(31)
+            for _ in range(12):
+                d = ToricDivisor(tuple(rng.randint(-1, 2) for _ in fan.rays))
+                cls = classify_divisor(fan, d)
+                if not cls.pseudo_effective:
+                    continue
+                tau_at = tau_toric if cls.big else tau_plus_toric
+                levels = {cone: [tau_at(fan, d, m, cone).ideal for m in range(1, cap + 1)]
+                          for cone in fan.max_cones}
+
+                def old_rule(sub):
+                    cone, positions = fan.chart_for(sub)
+                    z = CoordinateSubvariety(positions)
+                    return any(ord_along(t, z) >= 1 for t in levels[cone])
+
+                try:
+                    rep = non_nef_locus(fan, d, tau_level_cap=cap)
+                except ContractError as exc:
+                    [named] = [s for s in fan.invariant_subvarieties()
+                               if f" at {s} for" in str(exc)]
+                    assert "tau-vanishing is False" in str(exc) and not old_rule(named)
+                    kinds[cls.big, "disagreement"] += 1
+                    continue
+                kinds[cls.big, rep.status] += 1
+                for r in rep.cross_checks:
+                    assert r.tau_member == old_rule(r.subvariety)
+        assert {(big, status) for big in (True, False)
+                for status in ("nef", "pseudo-effective-not-nef")} <= set(kinds)
+
+    @pytest.mark.parametrize("name, coeffs, kind, status", [
+        ("f2", (0, 1, 0, 2), "tau", "pseudo-effective-not-nef"),
+        ("f1", (0, 0, 0, 1), "tau_+", "pseudo-effective-not-nef"),
+        ("p3", (1, 0, 0, 0), "tau", "nef"),
+    ], ids=["big", "not-big", "p3"])
+    def test_one_tau_evaluation_per_chart(self, name, coeffs, kind, status, monkeypatch):
+        fan, d = builtin_fan(name), divisor(*coeffs)
+        calls = []   # (evaluator, exponent, chart) of the calls non_nef_locus makes
+        tau_toric_, tau_plus_ = toric.tau_toric, toric._tau_plus
+
+        def counting_tau(fan_, d_, lam, cone, *args):
+            if d_ == d:   # not the perturbed divisors of _tau_plus
+                calls.append(("tau", lam, cone))
+            return tau_toric_(fan_, d_, lam, cone, *args)
+
+        def counting_plus(perturbations, lam, cone, *args):
+            calls.append(("tau_+", lam, cone))
+            return tau_plus_(perturbations, lam, cone, *args)
+
+        monkeypatch.setattr(toric, "tau_toric", counting_tau)
+        monkeypatch.setattr(toric, "_tau_plus", counting_plus)
+        assert non_nef_locus(fan, d, tau_level_cap=3).status == status
+        charts = sorted({fan.chart_for(s)[0] for s in fan.invariant_subvarieties()})
+        assert calls == [(kind, 3, cone) for cone in charts]
 
 
 class TestChartIdeals:
