@@ -26,12 +26,13 @@ products and floors are all monotone.  The recursion is checked against
 the naive multiset expansion in the test suite.
 
 For general ideals the chain member is the root of the expanded power.
-`ideal_power` forms a principal power f^N by Horner's rule on the base-p
-digits of N, f^(p*k + d) = f^k(x^p) * f^d (exact because the Frobenius
-fixes F_p), and a power with several generators as one product per
-multiset of generators; `frobenius_root` then takes the base-q digit
-decomposition of every generator in one pass, which gives the same
-generators as e successive p-th roots.
+`ideal_power` forms one product P(c) = prod_j g_j^c_j per count vector c
+of the generators with sum N, by Horner's rule on the base-p digits of c,
+P(c) = P(c div p)(x^p) * prod_j g_j^(c_j mod p) (exact because the
+Frobenius fixes F_p); a principal power f^N is the case of one generator.
+`frobenius_root` then takes the base-q digit decomposition of every
+generator in one pass, which gives the same generators as e successive
+p-th roots.
 """
 
 from __future__ import annotations

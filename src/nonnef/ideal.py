@@ -16,7 +16,7 @@ from .caps import DEFAULT_CAPS
 from .errors import ContractError, DomainError, ResourceLimitError, require_int
 from .groebner import buchberger, normal_form
 from .poly import (Polynomial, Ring, grevlex_key, min_antichain,
-                   mono_divides, mono_mul)
+                   mono_divides, mono_mul, multiset_products)
 
 
 class Ideal:
@@ -147,7 +147,9 @@ def monomial_power_gens(monos: frozenset, n: int) -> frozenset:
 
 
 def ideal_power(a: Ideal, n: int, caps=DEFAULT_CAPS) -> Ideal:
-    """a^n; a^0 is the unit ideal even for a = 0."""
+    """a^n; a^0 is the unit ideal even for a = 0.  A general power is
+    generated by one product per multiset of generators, each built from
+    the base-p digits of its counts (`poly.multiset_products`)."""
     if require_int(n, "ideal power n", least=0) == 0:
         return unit_ideal(a.ring)
     if a.is_zero():
@@ -160,15 +162,7 @@ def ideal_power(a: Ideal, n: int, caps=DEFAULT_CAPS) -> Ideal:
     if n * max_deg > caps.power_degree_cap:
         raise ResourceLimitError(
             f"power degree {n * max_deg} exceeds cap {caps.power_degree_cap}")
-    if len(a.generators) == 1:
-        return Ideal(a.ring, [a.generators[0] ** n])
-    # one product per multiset of generators: a product is extended only by
-    # generators at or after the last one it used
-    gens = a.generators
-    level = [(Polynomial.one(a.ring), 0)]
-    for _ in range(n):
-        level = [(f * gens[j], j) for f, last in level for j in range(last, len(gens))]
-    return Ideal(a.ring, [f for f, _ in level])
+    return Ideal(a.ring, multiset_products(a.generators, n))
 
 
 # -- containment ---------------------------------------------------------------

@@ -166,10 +166,13 @@ class Polynomial:
         return self.terms[self.leading_monomial()]
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        """This polynomial scaled to leading coefficient 1; `self` itself
+        when it already is (polynomials are immutable, so sharing is safe)."""
+        if not self.terms or self.leading_coeff() == 1:
             return self
+        p = self.ring.field.p
         inv = self.ring.field.inv(self.leading_coeff())
-        return Polynomial(self.ring, {m: c * inv for m, c in self.terms.items()})
+        return Polynomial._clean(self.ring, {m: c * inv % p for m, c in self.terms.items()})
 
     # arithmetic
     def _check_same_ring(self, other: "Polynomial"):
@@ -213,26 +216,10 @@ class Polynomial:
                                  {tuple(q * e for e in m): c for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
-        """f^n by Horner's rule on the base-p digits d_i of n:
-        f^(p*k + d) = (f^k)^p * f^d, the p-th power taken by `frobenius`."""
+        """f^n, the one-generator case of `multiset_products`."""
         if n < 0:
             raise ContractError("negative polynomial power")
-        p = self.ring.field.p
-        digits = []
-        while n:
-            n, d = divmod(n, p)
-            digits.append(d)
-        if not digits:
-            return Polynomial.one(self.ring)
-        small = [None, self]  # small[d] = f^d for the digits d < p
-        for _ in range(2, max(digits) + 1):
-            small.append(small[-1] * self)
-        result = small[digits.pop()]
-        for d in reversed(digits):
-            result = result.frobenius(p)
-            if d:
-                result = result * small[d]
-        return result
+        return multiset_products((self,), n)[0]
 
     # identity
     def key(self):
@@ -250,6 +237,63 @@ class Polynomial:
 
     def __repr__(self):
         return format_poly(self)
+
+
+def _count_vectors(total: int, parts: int) -> list:
+    """Every tuple of `parts` naturals summing to `total`."""
+    if parts == 1:
+        return [(total,)]
+    return [(head,) + rest for head in range(total + 1)
+            for rest in _count_vectors(total - head, parts - 1)]
+
+
+def _digit_product(gens, r: tuple, memo: dict) -> Polynomial:
+    """prod_j gens[j]^r_j for a nonzero digit vector r, one product per
+    vector: r is r' plus one at its last nonzero place, and memo holds r'."""
+    f = memo.get(r)
+    if f is None:
+        j = len(r) - 1
+        while not r[j]:
+            j -= 1
+        rest = r[:j] + (r[j] - 1,) + r[j + 1:]
+        f = gens[j] if not any(rest) else _digit_product(gens, rest, memo) * gens[j]
+        memo[r] = f
+    return f
+
+
+def _digit_horner(gens, c: tuple, p: int, lifted: dict, digit_products: dict) -> Polynomial:
+    """prod_j gens[j]^c_j for a nonzero count vector c, as
+    P(c div p)^[p] * prod_j gens[j]^(c_j mod p).  `lifted` holds P(h)^[p]
+    by h and `digit_products` the second factor by digit vector; every count
+    vector of one power shares them, so each is formed once."""
+    high = tuple([x // p for x in c])
+    r = tuple([x % p for x in c])
+    if not any(high):
+        return _digit_product(gens, r, digit_products)
+    f = lifted.get(high)
+    if f is None:
+        f = lifted[high] = _digit_horner(gens, high, p, lifted, digit_products).frobenius(p)
+    return f * _digit_product(gens, r, digit_products) if any(r) else f
+
+
+def multiset_products(gens, n: int) -> list:
+    """prod_j gens[j]^c_j for every count vector c with sum n, in the
+    order of `_count_vectors(n, len(gens))`.
+
+    Each product comes from the base-p digits of its count vector by
+    Horner's rule, P(c) = P(c div p)^[p] * prod_j gens[j]^(c_j mod p): the
+    first factor is `frobenius` (exact because the Frobenius fixes F_p),
+    the second a product of powers below p, formed once per digit vector.
+    The memo tables are plain locals, not a closure cell, so no reference
+    cycle keeps the intermediate products alive after the call.
+    """
+    ring = gens[0].ring
+    if n == 0:
+        return [Polynomial.one(ring)]
+    lifted: dict = {}
+    digit_products: dict = {}
+    return [_digit_horner(gens, c, ring.field.p, lifted, digit_products)
+            for c in _count_vectors(n, len(gens))]
 
 
 def format_poly(f: Polynomial) -> str:

@@ -53,6 +53,16 @@ def naive_product_power_root(pairs, q):
     return min_antichain(tuple(c // q for c in s) for s in sums)
 
 
+def multiset_power(amb, gens, n) -> Ideal:
+    """The ideal generated by one product per n-fold multiset of `gens`,
+    built level by level: a product is extended only by generators at or
+    after the last one it used."""
+    level = [(Polynomial.one(amb), 0)]
+    for _ in range(n):
+        level = [(f * gens[j], j) for f, last in level for j in range(last, len(gens))]
+    return Ideal(amb, [f for f, _ in level])
+
+
 def jump_grid_by_fractions(lam_max, denom_bound):
     """The candidate jumping numbers n/d in (0, lam_max], d <= denom_bound,
     as a sorted list of distinct Fractions."""

@@ -1,5 +1,6 @@
 """Polynomials, ideals, Groebner bases, the text grammar, computation caps."""
 
+import gc
 import random
 import re
 from dataclasses import fields, replace
@@ -13,11 +14,13 @@ from nonnef import (ContractError, DomainError, Ideal, PrimeField, ResourceLimit
                     unit_ideal, zero_ideal)
 from nonnef.asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_ord, ord_along
 from nonnef.caps import DEFAULT_CAPS, Caps
+from nonnef.frobenius import test_ideal as tau
 from nonnef.groebner import buchberger
 from nonnef.poly import Polynomial, grevlex_key, min_antichain
 from nonnef.toric import (InvariantSubvariety, ToricDivisor, asymptotic_ord_toric,
                           base_locus_ord, builtin_fan, chart_ideal, non_nef_locus)
 from nonnef.verify import run_suite
+from oracles import multiset_power
 
 CAP_FIELDS = sorted(f.name for f in fields(Caps))
 
@@ -32,6 +35,13 @@ def I(text):
 def test_freshman_dream_char2():
     f = parse_poly("x + y", R2)
     assert f * f == parse_poly("x^2 + y^2", R2)
+
+
+def test_monic():
+    f = parse_poly("2*x^2 + y + 3", ring(5, "x", "y"))
+    assert repr(f.monic()) == "x^2 + 3*y + 4"
+    g = parse_poly("x^2 + 2*y", ring(5, "x", "y"))
+    assert g.monic() is g
 
 
 def test_mul_identity():
@@ -139,18 +149,50 @@ class TestIdealPower:
             assert ideal_power(a, m + n) == ideal_product(ideal_power(a, m), ideal_power(a, n))
 
     def test_multi_generator_power_matches_iterated_product(self):
+        # n up to 3p + 1 makes the base-p digits of the multiset counts carry;
+        # for p > 2 the first generator's leading coefficient is not 1
         rng = random.Random(17)
         for p in (2, 3, 5):
             amb = ring(p, "x", "y")
-            for _ in range(4):
-                a = Ideal(amb, [_seeded_poly(rng, amb, 2, rng.randint(1, 3))
-                                for _ in range(rng.randint(2, 3))])
-                if a.is_monomial:
-                    continue
-                expected = unit_ideal(amb)
-                for n in range(6):
-                    assert repr(ideal_power(a, n)) == repr(expected)
-                    expected = ideal_product(expected, a)
+            for k in (2, 3):
+                for _ in range(2):
+                    gens = [_seeded_poly(rng, amb, 2, rng.randint(1, 3)) for _ in range(k)]
+                    if p > 2 and gens[0].leading_coeff() == 1:
+                        gens[0] = gens[0].scale(2)
+                    a = Ideal(amb, gens)
+                    if a.is_monomial:
+                        continue
+                    expected = unit_ideal(amb)
+                    for n in range(3 * p + 2):
+                        power = repr(ideal_power(a, n))
+                        assert power == repr(multiset_power(amb, gens, n))
+                        assert power == repr(expected)
+                        expected = ideal_product(expected, a)
+
+    def test_power_leaves_no_cyclic_garbage(self):
+        a = I("p=3; vars=x,y; gens=[x^2 + 2*y, x*y + 1]")
+        gc.collect()
+        gc.disable()
+        try:
+            ideal_power(a, 3 * 3 + 1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_power_degree_cap(self):
+        a = I("p=2; vars=x,y; gens=[x^2 + y, x*y]")
+        with pytest.raises(ResourceLimitError, match="power degree 12 exceeds cap 10"):
+            ideal_power(a, 6, Caps(power_degree_cap=10))
+        assert repr(ideal_power(a, 5, Caps(power_degree_cap=10))) == repr(ideal_power(a, 5))
+
+    def test_power_degree_cap_truncates_the_general_chain(self):
+        # degree 3 * 2^e: e = 2 meets the cap 12 exactly, e = 3 exceeds it
+        a = I("p=2; vars=x,y; gens=[x^2 + y^3, x*y]")
+        full = tau(a, 1)
+        assert (full.stabilization_e, full.evidence) == (2, "window-stable")
+        capped = tau(a, 1, Caps(power_degree_cap=12))
+        assert (capped.stabilization_e, capped.evidence) == (2, "cap-reached")
+        assert repr(capped.ideal) == repr(full.ideal)
 
 
 class TestIdealProduct:
