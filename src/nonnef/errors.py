@@ -23,7 +23,8 @@ class ContractError(NonnefError):
 
 
 class ResourceLimitError(NonnefError):
-    """A configurable cap (Groebner pair count, power degree) was exceeded.
+    """A configurable cap (Groebner pair count, power degree, the tau level
+    of the non-nef cross-check) was exceeded.
 
     Distinct from the evidence='cap-reached' flag on chain results, which is
     an honest partial answer rather than an abort.

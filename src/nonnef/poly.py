@@ -216,9 +216,14 @@ class Polynomial:
                                  {tuple(q * e for e in m): c for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
-        """f^n, the one-generator case of `multiset_products`."""
+        """f^n, the one-generator case of `multiset_products`; f^0 and f^1
+        directly, a polynomial never changing once built."""
         if n < 0:
             raise ContractError("negative polynomial power")
+        if n == 0:
+            return Polynomial.one(self.ring)
+        if n == 1:
+            return self
         return multiset_products((self,), n)[0]
 
     # identity

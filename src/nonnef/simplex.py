@@ -16,11 +16,23 @@ those of a tableau over `Fraction`.  Constraints and objectives are ints
 or `Fraction`s; `Fraction` appears only where they are scaled in over a
 common denominator and where the value and point are read out.
 
-Phase 1 depends only on the constraints.  A `Polytope` runs it once and
-answers every later objective by phase 2 from a copy of its basis, so a
-caller that asks many questions of one polytope (the order LPs of every
-invariant subvariety on one section polytope) pays for phase 1 once; the
-value and the point equal those of a fresh `solve_lp`.
+A `Polytope` is the family P(t) = {x : a_i . x >= b_i + t*s_i}; each row
+carries the columns b and s and, last, the live right-hand side
+t.den*b + t.num*s, a positive multiple of b + t*s, which is the one
+column the ratio test reads.  With every s_i = 0 it is one polyhedron.  Phase 1 depends only on the constraints at one t, so a
+`Polytope` runs it once and answers every later objective by phase 2 from a
+copy of its basis: a caller that asks many questions of one polytope pays
+for phase 1 once.
+
+Only the right-hand side moves with t (parametric right-hand-side
+programming, Gass-Saaty 1955).  `walk` runs phase 2 once and, at each
+later t, resets the live column and restores primal feasibility by the dual
+simplex, again under Bland's rule; the reduced costs do not involve the
+right-hand side and its ratio test keeps them >= 0, so the basis it
+reaches is optimal at t, and on one basis
+the value is v0 + t*v1, read once from the columns b and s.  An LP's
+optimal value is unique, so every walked value equals that of a fresh
+`solve_lp` at t; only the basis, and so the point, may differ.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import ContractError
+from .errors import ContractError, DomainError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -41,7 +53,8 @@ UNBOUNDED = "unbounded"
 class LPResult:
     status: str
     value: object = None   # Fraction when optimal
-    point: tuple = None    # optimizer in the original free variables
+    point: tuple = None    # optimizer in the original free variables; None
+                           # from `Polytope.walk`, which reads values only
 
 
 def _integers(values):
@@ -110,31 +123,60 @@ def _run_simplex(rows, basis, cost):
         z = _eliminate(z, rows[leaving], entering)
 
 
-class Polytope:
-    """The rational polyhedron {x in Q^n : a_i . x >= b_i for all i}, with
-    phase 1 already run.
+def _dual_simplex(rows, basis, cost):
+    """Restore primal feasibility of a tableau whose reduced costs for cost
+    are all >= 0 (Bland's rule: the infeasible row of least basic index
+    leaves; the column of least ratio z_j / -a_j over a_j < 0 enters, ties
+    to the smaller index).  Returns OPTIMAL, or INFEASIBLE when the leaving
+    row has no negative entry; mutates the tableau in place."""
+    z = None
+    while True:
+        infeasible = [i for i, row in enumerate(rows) if row[-1] < 0]
+        if not infeasible:
+            return OPTIMAL
+        if z is None:
+            z = _reduced_costs(rows, basis, cost)
+        r = min(infeasible, key=basis.__getitem__)
+        entering = None
+        for j, (a, zj) in enumerate(zip(rows[r], z)):
+            # least zj / -a by cross-multiplication; -a and -best_a are > 0
+            if a < 0 and (entering is None or zj * best_a > best_z * a):
+                entering, best_z, best_a = j, zj, a
+        if entering is None:
+            return INFEASIBLE
+        _pivot(rows, basis, r, entering)
+        z = _eliminate(z, rows[r], entering)
 
-    constraints: iterable of (coefficient sequence, rhs).  Phase 1 depends
-    only on the constraints, so it runs once here; every `minimize` call
-    starts phase 2 from a copy of the resulting basis.
+
+class Polytope:
+    """The rational polyhedron P(t) = {x in Q^n : a_i . x >= b_i + t*s_i for
+    all i}, with phase 1 already run at one t.
+
+    constraints: iterable of (a_i, b_i) or (a_i, b_i, s_i), a missing shift
+    s_i being 0.  Phase 1 depends only on the constraints at t, so it runs
+    once here; every `minimize` call starts phase 2 at t from a copy of the
+    resulting basis, and every `walk` carries that basis on to other t.
     """
 
-    def __init__(self, constraints, n):
+    def __init__(self, constraints, n, t=0):
         self.n = n
-        cons = [_integers([*a, b]) for a, b in constraints]
+        self.t = Fraction(t)
+        cons = [_integers([*a, b, *(shift or (0,))]) for a, b, *shift in constraints]
         m = len(cons)
         width = 2 * n + m          # x+ columns, x- columns, surplus columns
 
-        # phase 1: artificial basis.  Row i is constraint i scaled by s_i > 0,
-        # so its surplus entry is -s_i and its artificial entry, its
-        # denominator, is s_i
+        # phase 1: artificial basis.  Row i is constraint i scaled by c_i > 0,
+        # so its surplus entry is -c_i and its artificial entry, its
+        # denominator, is c_i; it ends in the columns b, s and the live
+        # right-hand side t.den*b + t.num*s
         tableau = []
-        for i, (ints, s) in enumerate(cons):
-            sign = -1 if ints[-1] < 0 else 1
-            a = [sign * v for v in ints[:n]]
-            row = a + [-v for v in a] + [0] * (2 * m) + [sign * ints[-1]]
-            row[2 * n + i] = -sign * s
-            row[width + i] = s
+        for i, (ints, c) in enumerate(cons):
+            *a, b, s = ints
+            live = self.t.denominator * b + self.t.numerator * s
+            sign = -1 if live < 0 else 1
+            row = [sign * v for v in a + [-v for v in a] + [0] * (2 * m) + [b, s, live]]
+            row[2 * n + i] = -sign * c
+            row[width + i] = c
             tableau.append(row)
         basis = list(range(width, width + m))
         cost1 = [0] * width + [1] * m
@@ -150,32 +192,84 @@ class Polytope:
                 if c is not None:
                     _pivot(tableau, basis, i, c)
         keep = [i for i in range(m) if basis[i] < width]
-        self._rows = [tableau[i][:width] + tableau[i][-1:] for i in keep]
+        self._rows = [tableau[i][:width] + tableau[i][-3:] for i in keep]
         self._basis = [basis[i] for i in keep]
         self._surplus = m
 
-    def minimize(self, objective) -> LPResult:
-        """Minimize objective . x by phase 2 under Bland's rule.  Exact
-        throughout; the point returned attains the optimum."""
-        if not self.feasible:
-            return LPResult(INFEASIBLE)
-        n = self.n
-        objective = tuple(objective)
+    def _phase2(self, objective):
+        """(rows, basis, cost) after phase 2 for objective at the phase-1 t;
+        cost is None when the objective is unbounded there."""
         rows = list(self._rows)    # pivots replace rows, never edit one
         basis = list(self._basis)
         cost, _ = _integers(objective)
-        cost2 = cost + [-c for c in cost] + [0] * self._surplus
-        if _run_simplex(rows, basis, cost2) == UNBOUNDED:
+        cost = cost + [-c for c in cost] + [0] * self._surplus
+        if _run_simplex(rows, basis, cost) == UNBOUNDED:
+            return rows, basis, None
+        return rows, basis, cost
+
+    def minimize(self, objective) -> LPResult:
+        """Minimize objective . x over P(t) at the phase-1 t by phase 2 under
+        Bland's rule.  Exact throughout; the point returned attains the
+        optimum."""
+        if not self.feasible:
+            return LPResult(INFEASIBLE)
+        objective = tuple(objective)
+        rows, basis, cost = self._phase2(objective)
+        if cost is None:
             return LPResult(UNBOUNDED)
-        # x_j = x+_j - x-_j; the two columns are opposite, so at most one
-        # of them is basic
-        x = [Fraction(0)] * n
-        for row, b in zip(rows, basis):
-            if b < n:
-                x[b] = Fraction(row[-1], row[b])
-            elif b < 2 * n:
-                x[b - n] = -Fraction(row[-1], row[b])
+        # the live column holds t.den times the right-hand side at t
+        x = _solution(rows, basis, self.n, -1, self.t.denominator)
         return LPResult(OPTIMAL, sum(map(mul, objective, x), Fraction(0)), tuple(x))
+
+    def walk(self, objective, ts):
+        """The minimum of objective . x over P(t) for each t of `ts` in turn,
+        lazily, as an LPResult without a point.
+
+        Phase 2 runs once, at the phase-1 t.  Each t then resets the live
+        right-hand side, and the dual simplex restores primal feasibility:
+        the reduced costs do not depend on t, so the basis stays optimal.
+        On one basis the value is v0 + t*v1, read once from the columns b
+        and s.  An LP's optimal value is unique, so each value equals that
+        of a fresh `solve_lp` at t.  An objective unbounded at the phase-1 t
+        is unbounded wherever P(t) is nonempty, and the walk goes on with
+        the zero objective, which every basis leaves dual feasible, to tell
+        where that is."""
+        if not self.feasible:
+            raise DomainError("a walk needs a polyhedron nonempty at its phase-1 t")
+        objective = tuple(objective)
+        rows, basis, cost = self._phase2(objective)
+        bounded = cost is not None
+        if not bounded:
+            cost = [0] * (2 * self.n + self._surplus)
+        read = None                # (basis, v0, v1) of the last basis read
+        for t in map(Fraction, ts):
+            rows = [row[:-1] + [t.denominator * row[-3] + t.numerator * row[-2]]
+                    for row in rows]
+            if _dual_simplex(rows, basis, cost) == INFEASIBLE:
+                yield LPResult(INFEASIBLE)
+            elif not bounded:
+                yield LPResult(UNBOUNDED)
+            else:
+                if read is None or read[0] != basis:
+                    read = (list(basis), *(
+                        sum(map(mul, objective, _solution(rows, basis, self.n, col)),
+                            Fraction(0))
+                        for col in (-3, -2)))
+                _, v0, v1 = read
+                yield LPResult(OPTIMAL, v0 + t * v1)
+
+
+def _solution(rows, basis, n, col, scale=1):
+    """The basic solution in the original free variables for the right-hand
+    side in column col, divided by scale: x_j = x+_j - x-_j, and the two
+    columns are opposite, so at most one of them is basic."""
+    x = [Fraction(0)] * n
+    for row, b in zip(rows, basis):
+        if b < n:
+            x[b] = Fraction(row[col], scale * row[b])
+        elif b < 2 * n:
+            x[b - n] = -Fraction(row[col], scale * row[b])
+    return x
 
 
 def solve_lp(objective, constraints, n) -> LPResult:

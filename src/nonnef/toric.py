@@ -19,7 +19,7 @@ from math import gcd, inf
 
 from .asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_test_ideal, ord_along
 from .caps import DEFAULT_CAPS, Caps
-from .errors import ContractError, DomainError, require_int
+from .errors import ContractError, DomainError, ResourceLimitError, require_int
 from .field import PrimeField
 from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
                         check_lambda, stabilize, worst_evidence)
@@ -525,20 +525,23 @@ def asymptotic_ord_toric(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety) ->
     over the rational section polytope."""
     _check_length(fan, d)
     fan.chart_for(sub)     # DomainError unless the rays of Z span a cone
-    return _order_lp(fan, d, Polytope(fan.polytope_constraints(d), fan.dim), sub)
+    res = Polytope(fan.polytope_constraints(d), fan.dim).minimize(_order_objective(fan, sub))
+    return _order_value(res, d, sub)
 
 
-def _order_lp(fan: Fan, d: ToricDivisor, section: Polytope,
-              sub: InvariantSubvariety) -> Fraction:
-    """asymptotic_ord_toric on `section`, the already built P_D."""
-    objective = [sum(fan.rays[i][k] for i in sub.rays) for k in range(fan.dim)]
-    const = sum(d.coefficients[i] for i in sub.rays)
-    res = section.minimize(objective)
+def _order_objective(fan: Fan, sub: InvariantSubvariety) -> list:
+    """u -> sum_{i in Z} <u, v_i>, the linear part of the order LP."""
+    return [sum(fan.rays[i][k] for i in sub.rays) for k in range(fan.dim)]
+
+
+def _order_value(res, d: ToricDivisor, sub: InvariantSubvariety) -> Fraction:
+    """ord_Z(||D||) from the solved order LP on P_D: its minimum plus the
+    constant sum_{i in Z} d_i."""
     if res.status == INFEASIBLE:
         raise DomainError("no pluri-sections: the section polytope is empty")
     if res.status != OPTIMAL:
         raise ContractError("order LP cannot be unbounded on a complete fan")
-    return res.value + const
+    return res.value + sum(d.coefficients[i] for i in sub.rays)
 
 
 @dataclass(frozen=True)
@@ -573,41 +576,52 @@ def _perturbation(fan: Fan, ample) -> ToricDivisor:
     return ample
 
 
+def _eps_schedule(depth: int):
+    """eps = 1/2, 1/4, ..., 1/2^depth: the schedule of sigma and tau_+."""
+    return (Fraction(1, 2 ** k) for k in range(1, depth + 1))
+
+
 class _Perturbations:
     """The divisors D + eps*A of one D and one checked ample A, each built
-    once per eps together with its section polytope, so the sigma schedules
-    of every subvariety, the tau_+ chains and the stable-base-locus grid of
-    one D share them, and every phase 1."""
+    once per eps, so the sigma schedules of every subvariety, the tau_+
+    chains and the stable-base-locus grid of one D share them; and the
+    section polytopes P_{D + eps*A} of every eps as one tableau, so the
+    sigma schedules share one phase 1."""
 
     def __init__(self, fan: Fan, d: ToricDivisor, a: ToricDivisor):
         self.fan, self.d, self.a = fan, d, a
         self._divisors: dict = {}
-        self._sections: dict = {}
+        self._polytope = None
 
     def divisor(self, eps) -> ToricDivisor:
         if eps not in self._divisors:
             self._divisors[eps] = self.d + self.a.scale(eps)
         return self._divisors[eps]
 
-    def section(self, eps) -> Polytope:
-        if eps not in self._sections:
+    def polytope(self) -> Polytope:
+        """P_{D + t*A} = {u : <u, v_i> >= -d_i - t*a_i}, with phase 1 run at
+        t = 1/2, the first eps of every schedule."""
+        if self._polytope is None:
             fan = self.fan
-            self._sections[eps] = Polytope(fan.polytope_constraints(self.divisor(eps)),
-                                           fan.dim)
-        return self._sections[eps]
+            self._polytope = Polytope(
+                [(v, -c, -a) for v, c, a in zip(fan.rays, self.d.coefficients,
+                                                 self.a.coefficients)],
+                fan.dim, Fraction(1, 2))
+        return self._polytope
 
 
 def _sigma_samples(perturbations: _Perturbations, sub: InvariantSubvariety,
                    caps: Caps) -> SigmaResult:
-    """The sigma schedule of D along `sub`, sampled at D + eps*A."""
+    """The sigma schedule of D along `sub`, sampled at D + eps*A: one walk of
+    the order LP down the eps schedule on the shared tableau."""
     samples = []
+    results = perturbations.polytope().walk(_order_objective(perturbations.fan, sub),
+                                            _eps_schedule(caps.epsilon_depth))
 
     def lines():
         # the line (slope, intercept) through each pair of consecutive samples
-        eps = Fraction(1, 2)
-        for k in range(caps.epsilon_depth):
-            val = _order_lp(perturbations.fan, perturbations.divisor(eps),
-                            perturbations.section(eps), sub)
+        for k, eps in enumerate(_eps_schedule(caps.epsilon_depth)):
+            val = _order_value(next(results), perturbations.divisor(eps), sub)
             if samples and val < samples[-1][1]:
                 raise ContractError("ord must not decrease as the ample part shrinks")
             samples.append((eps, val))
@@ -615,7 +629,6 @@ def _sigma_samples(perturbations: _Perturbations, sub: InvariantSubvariety,
                 (e1, f1), (e2, f2) = samples[-2:]
                 slope = (f2 - f1) / (e2 - e1)
                 yield k, (slope, f2 - slope * e2)
-            eps /= 2
 
     # the value is convex in eps, so slopes cannot increase as eps shrinks
     line, _, stable = stabilize(lines(), caps.window, lambda prev, cur: cur[0] <= prev[0])
@@ -714,8 +727,7 @@ def _tau_plus(perturbations: _Perturbations, lam, cone, p: int,
     evidences = []
 
     def members():
-        eps = Fraction(1, 2)
-        for k in range(1, caps.epsilon_depth + 1):
+        for k, eps in enumerate(_eps_schedule(caps.epsilon_depth), 1):
             perturbed = perturbations.divisor(eps)
             # past the first eps, a perturbation with no nonzero term up to
             # m_cap ends the schedule; the first one raises in tau_toric
@@ -724,7 +736,6 @@ def _tau_plus(perturbations: _Perturbations, lam, cone, p: int,
             r = tau_toric(fan, perturbed, lam, cone, p, caps)
             evidences.append(r.evidence)
             yield k, r.ideal
-            eps /= 2
 
     # stop at the first repeat (window 1): honouring caps.window here would
     # run one more asymptotic chain per call
@@ -776,8 +787,13 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     m grows, so its part for m <= tau_level_cap is V(tau(tau_level_cap||D||))
     alone, one evaluation per chart.  Of method 2, `certified` sees only it.
 
-    Disagreement raises: the three characterizations are theorems, so a
-    mismatch is an implementation bug, not data."""
+    Disagreement raises ContractError: the three characterizations are
+    theorems, so a mismatch is an implementation bug, not data.  One
+    disagreement is the cap's, not the code's: for big D the order estimate
+    ord_Z tau(m||D||) > m*sigma_Z(D) - codim Z guarantees vanishing along Z
+    only from m = ceil(codim Z / sigma_Z(D)) on, so when sigma and the base
+    locus put Z in B_-(D), tau does not vanish and tau_level_cap is below
+    that level, a ResourceLimitError names the level needed."""
     require_int(tau_level_cap, "tau_level_cap")
     grid = tuple(eps_grid)
     if not grid or any(type(e) not in (int, Fraction) or e <= 0 for e in grid):
@@ -828,15 +844,21 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
         tau_member = ord_along(tau_by_chart[cone], z) >= 1
         bl_member = sub in finest
         if tau_member != bl_member or lp_member not in (None, tau_member):
-            hint = ""
+            disagreement = (f"non-nef membership methods disagree at {sub} for D={d}: "
+                            f"sigma>0 is {lp_member}, tau-vanishing is {tau_member}, "
+                            f"perturbed base locus is {bl_member}")
             if lp_member and bl_member and not tau_member:
-                hint = (f" (tau at the level tau_level_cap={tau_level_cap} does not "
+                if not cls.big:
+                    disagreement += (
+                        f" (tau_+ at the level tau_level_cap={tau_level_cap} does not "
                         f"vanish; it shrinks as the level grows, so a larger cap may "
                         f"be needed before suspecting the implementation)")
-            raise ContractError(
-                f"non-nef membership methods disagree at {sub} for D={d}: "
-                f"sigma>0 is {lp_member}, tau-vanishing is {tau_member}, "
-                f"perturbed base locus is {bl_member}{hint}")
+                elif tau_level_cap < (needed := _tau_level_needed(sub, sg.value)):
+                    raise ResourceLimitError(
+                        f"{disagreement}; with sigma={sg.value}, the order estimate "
+                        f"makes tau vanish along {sub} from level {needed} = "
+                        f"ceil(codim/sigma) on, above tau_level_cap={tau_level_cap}")
+            raise ContractError(disagreement)
         records.append(MethodRecord(sub, sg.value, lp_member, tau_member,
                                     bl_member, sg.evidence))
         sigma_of[sub] = sg.value
@@ -855,3 +877,10 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     certified = EVIDENCE_CAP not in evidences
     return NonNefReport(d, status, positive, _sorted_subs(members),
                         tuple(records), certified)
+
+
+def _tau_level_needed(sub: InvariantSubvariety, sigma_value: Fraction) -> int:
+    """ceil(codim Z / sigma_Z(D)) for big D and sigma_Z(D) > 0: the order
+    estimate ord_Z tau(m||D||) > m*sigma_Z(D) - codim Z puts Z inside
+    V(tau(m||D||)) from this level m on."""
+    return -(-sub.codim // sigma_value)

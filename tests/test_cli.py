@@ -329,6 +329,20 @@ class TestExitCodes:
         assert "candidate grid" in payload["error"]
         assert time.perf_counter() - start < 0.5
 
+    def test_tau_level_below_the_order_bound_is_resource_limit(self):
+        # D is big with sigma_V(3)(D) = 1/8, so tau(m||D||) is only known to
+        # vanish along V(3) from m = 8 on
+        argv = ["--json", "nonnef", "--fan", "builtin:f1", "--divisor=-1/2,7/4,-3/4,11/8"]
+        code, out = run_cli(argv)
+        payload = json.loads(out)["result"]
+        assert code == 2 and payload["kind"] == "ResourceLimitError"
+        assert "level 8" in payload["error"] and "tau_level_cap=4" in payload["error"]
+        code, out = run_cli(argv + ["--tau-level-cap", "8"])
+        payload = json.loads(out)["result"]
+        assert code == 0 and payload["certified"]
+        assert payload["status"] == "pseudo-effective-not-nef"
+        assert payload["positive_sigma"] == [[[3], "1/8"]]
+
     def test_verify_pass_exits_zero(self):
         code, out = run_cli(["--json", "verify", "ceil-identity", "--budget", "500"])
         assert code == 0

@@ -44,6 +44,13 @@ def test_monic():
     assert g.monic() is g
 
 
+def test_zeroth_and_first_powers_build_nothing():
+    f = parse_poly("x^2 + 2*x*y + y^3", R3)
+    assert f ** 1 is f
+    assert f ** 0 == Polynomial.one(R3) == parse_poly("0", R3) ** 0
+    assert repr(f ** 2) == repr(f * f)
+
+
 def test_mul_identity():
     f = parse_poly("x^3 + x*y + 1", R3)
     assert f * Polynomial.one(R3) == f

@@ -2,11 +2,12 @@
 `Fraction` tableau."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from nonnef import simplex
+from nonnef import DomainError, simplex
 from nonnef.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, Polytope, solve_lp
 from oracles import fraction_simplex, lp_min_by_vertices
 
@@ -186,3 +187,83 @@ def test_large_entries_pivot_like_the_fraction_tableau(pivots):
         want = fraction_simplex(obj, cons, 2)
         assert want[0] == OPTIMAL
         assert _solve_counted(obj, cons, 2, pivots) == want
+
+
+#: A decreasing walk schedule: t = 1/2 (the phase-1 t below), ..., 1/2^12, 0.
+WALK_TS = [Fraction(1, 2 ** k) for k in range(1, 13)] + [Fraction(0)]
+
+
+def _shifted_lps(seed, count):
+    """(constraints (a, b, s), n, rng) of `count` random polyhedra
+    {x : a.x >= b + t*s}; two in three lie in the box |x_j| <= 8, the rest
+    may be unbounded."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.choice([2, 3])
+        cons = [([rng.randrange(-3, 4) for _ in range(n)], rng.randrange(-5, 6),
+                 rng.randrange(-6, 7)) for _ in range(rng.randrange(n + 1, n + 5))]
+        if k % 3:
+            for j in range(n):
+                for sign in (1, -1):
+                    cons.append(([sign * (i == j) for i in range(n)], -8, 0))
+        yield cons, n, rng
+
+
+def _at(cons, t):
+    return [(a, b + t * s) for a, b, s in cons]
+
+
+def test_walk_values_equal_a_fresh_solve_at_every_t(pivots):
+    statuses = Counter()
+    dual_pivots = 0
+    for cons, n, rng in _shifted_lps(11, 150):
+        poly = Polytope(cons, n, WALK_TS[0])
+        if not poly.feasible:
+            assert not Polytope(_at(cons, WALK_TS[0]), n).feasible
+            continue
+        for _ in range(2):
+            obj = [rng.randrange(-3, 4) for _ in range(n)]
+            walk = poly.walk(obj, WALK_TS)
+            walked = [next(walk)]      # phase 2 runs before the first value
+            pivots[0] = 0
+            walked += walk
+            dual_pivots += pivots[0]
+            assert len(walked) == len(WALK_TS)
+            for t, res in zip(WALK_TS, walked):
+                fresh = solve_lp(obj, _at(cons, t), n)
+                assert (res.status, res.value) == (fresh.status, fresh.value), (cons, obj, t)
+                assert type(res.value) is type(fresh.value)
+                statuses[res.status] += 1
+    assert dual_pivots > 0
+    assert set(statuses) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_zero_shift_is_the_plain_polytope():
+    for cons, n, rng in _shifted_lps(12, 40):
+        plain = [(a, b) for a, b, _ in cons]
+        obj = [rng.randrange(-3, 4) for _ in range(n)]
+        want = solve_lp(obj, plain, n)
+        assert Polytope([(a, b, 0) for a, b in plain], n).minimize(obj) == want
+        # the phase-1 t leaves a polyhedron without shift unchanged
+        assert Polytope(plain, n, Fraction(1, 3)).minimize(obj) == want
+
+
+def test_minimize_answers_at_the_phase1_t():
+    for cons, n, rng in _shifted_lps(13, 40):
+        t = Fraction(rng.randrange(0, 5), rng.randrange(1, 5))
+        obj = [rng.randrange(-3, 4) for _ in range(n)]
+        assert Polytope(cons, n, t).minimize(obj) == solve_lp(obj, _at(cons, t), n)
+
+
+def test_walk_needs_a_nonempty_start_and_leaves_the_polytope_reusable():
+    # x >= 1 - 2t and x <= 0: empty at t = 0, nonempty from t = 1/2 on
+    cons = [((1,), 1, -2), ((-1,), 0, 0)]
+    with pytest.raises(DomainError, match="nonempty"):
+        next(Polytope(cons, 1).walk((1,), [1]))
+    poly = Polytope(cons, 1, 1)
+    ts = [1, Fraction(1, 2), Fraction(1, 4), 0, 2]
+    first = list(poly.walk((1,), ts))
+    assert [r.status for r in first] == [OPTIMAL, OPTIMAL] + [INFEASIBLE] * 2 + [OPTIMAL]
+    assert [r.value for r in first] == [-1, 0, None, None, -3]
+    assert list(poly.walk((1,), ts)) == first
+    assert poly.minimize((1,)) == LPResult(OPTIMAL, -1, (-1,))

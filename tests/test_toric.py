@@ -8,7 +8,8 @@ from math import inf
 
 import pytest
 
-from nonnef import Caps, ContractError, DomainError, f_jumping_numbers, parse_ideal, toric
+from nonnef import (Caps, ContractError, DomainError, ResourceLimitError, f_jumping_numbers,
+                    parse_ideal, toric)
 from nonnef import test_ideal as tau
 from nonnef.asymptotic import CoordinateSubvariety, ord_along
 from nonnef.toric import (Fan, InvariantSubvariety, ToricDivisor, _chart_system,
@@ -32,9 +33,9 @@ def polytopes(monkeypatch):
     built = []
     init = Polytope.__init__
 
-    def counting(self, constraints, n):
+    def counting(self, constraints, n, *t):
         built.append(n)
-        init(self, constraints, n)
+        init(self, constraints, n, *t)
 
     monkeypatch.setattr(Polytope, "__init__", counting)
     return built
@@ -325,7 +326,33 @@ class TestSigma:
         fan, ph, e = blowup_lab()
         d = ph + e
         for sub in fan.invariant_subvarieties():
-            assert sigma(fan, d, sub).value == asymptotic_ord_toric(fan, d, sub)
+            res = sigma(fan, d, sub)
+            assert res.value == asymptotic_ord_toric(fan, d, sub)
+            assert res.samples == tuple(
+                (eps, asymptotic_ord_toric(fan, d + fan.ample.scale(eps), sub))
+                for eps, _ in res.samples)
+
+    @pytest.mark.parametrize("name", FANS)
+    def test_walked_samples_equal_fresh_order_lps(self, name):
+        """Every sample of the one walked tableau is the order LP solved
+        afresh on P_{D + eps*A}, for big and for merely pseudo-effective D."""
+        fan = builtin_fan(name)
+        rng = random.Random(5)
+        kinds = set()
+        for _ in range(10):
+            d = ToricDivisor(tuple(Fraction(rng.randint(-4, 8), rng.choice((1, 2, 4)))
+                                   for _ in fan.rays))
+            cls = classify_divisor(fan, d)
+            if not cls.pseudo_effective:
+                continue
+            kinds.add(cls.big)
+            for sub in fan.invariant_subvarieties():
+                res = sigma(fan, d, sub)
+                assert len(res.samples) >= 4
+                assert res.samples == tuple(
+                    (eps, asymptotic_ord_toric(fan, d + fan.ample.scale(eps), sub))
+                    for eps, _ in res.samples)
+        assert True in kinds
 
     def test_not_psef_rejected(self):
         with pytest.raises(DomainError, match="pseudo-effective"):
@@ -390,12 +417,25 @@ class TestNonNef:
         fan = builtin_fan(name)   # built first: fan validation runs an LP of its own
         del polytopes[:]
         non_nef_locus(fan, divisor(*coeffs))
-        # one for classifying D, one per sampled eps = 1/2 .. 1/16 shared
-        # by the order LPs of every subvariety
-        assert len(polytopes) == 1 + 4
+        # one for classifying D, and one tableau of P_{D + eps*A} walked by
+        # the order LPs of every subvariety down the whole eps schedule
+        assert len(polytopes) == 1 + 1
         del polytopes[:]
         non_nef_locus(fan, divisor(*coeffs), ample=fan.ample)
-        assert len(polytopes) == 1 + 4
+        assert len(polytopes) == 1 + 1
+
+    def test_tau_level_below_the_order_bound_names_the_cap(self):
+        # big D with sigma_V(3)(D) = 1/8: tau(m||D||) is only known to vanish
+        # along V(3) from m = ceil(1 / (1/8)) = 8 on
+        fan = builtin_fan("f1")
+        d = divisor(Fraction(-1, 2), Fraction(7, 4), Fraction(-3, 4), Fraction(11, 8))
+        with pytest.raises(ResourceLimitError, match=r"V\(3\).* level 8 .*tau_level_cap=4"):
+            non_nef_locus(fan, d)
+        with pytest.raises(ResourceLimitError, match="tau_level_cap=7"):
+            non_nef_locus(fan, d, tau_level_cap=7)
+        rep = non_nef_locus(fan, d, tau_level_cap=8)
+        assert rep.certified and rep.status == "pseudo-effective-not-nef"
+        assert rep.positive_sigma == ((E_SUB, Fraction(1, 8)),)
 
     @pytest.mark.parametrize("cap", [1, 2, 4])
     def test_single_tau_level_matches_every_level_up_to_the_cap(self, cap):
@@ -422,10 +462,12 @@ class TestNonNef:
 
                 try:
                     rep = non_nef_locus(fan, d, tau_level_cap=cap)
-                except ContractError as exc:
+                except (ContractError, ResourceLimitError) as exc:
                     [named] = [s for s in fan.invariant_subvarieties()
                                if f" at {s} for" in str(exc)]
                     assert "tau-vanishing is False" in str(exc) and not old_rule(named)
+                    # the cap, not the code, is named only where the order bound applies
+                    assert isinstance(exc, ContractError) or cls.big
                     kinds[cls.big, "disagreement"] += 1
                     continue
                 kinds[cls.big, rep.status] += 1
