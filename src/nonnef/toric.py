@@ -829,7 +829,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
             raise ContractError("perturbed base loci must grow as eps shrinks")
     finest = sbl_members[grid[-1]]
 
-    # method 1: the order LPs of every subvariety share each P_{D + eps*A}
+    # method 1: the order LPs of every subvariety walk one tableau of P_{D + eps*A}
     records = []
     members = []
     sigma_of = {}
