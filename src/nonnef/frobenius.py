@@ -70,13 +70,14 @@ class TestIdealResult:
 
 
 def check_lambda(lam) -> Fraction:
-    """lam as a Fraction if it is an int (not a bool) or a Fraction >= 0;
-    otherwise a DomainError that names the exponent."""
+    """lam as a Fraction if it is an int (not a bool) or a Fraction >= 0,
+    a Fraction being returned as it is; otherwise a DomainError that names
+    the exponent."""
     if type(lam) not in (int, Fraction):
         raise DomainError(f"exponent must be an int or a Fraction, got {lam!r}")
     if lam < 0:
         raise DomainError(f"exponent must be non-negative, got {lam}")
-    return Fraction(lam)
+    return lam if type(lam) is Fraction else Fraction(lam)
 
 
 def ceil_times(lam: Fraction, q: int) -> int:

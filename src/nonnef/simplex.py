@@ -29,10 +29,13 @@ programming, Gass-Saaty 1955).  `walk` runs phase 2 once and, at each
 later t, resets the live column and restores primal feasibility by the dual
 simplex, again under Bland's rule; the reduced costs do not involve the
 right-hand side and its ratio test keeps them >= 0, so the basis it
-reaches is optimal at t, and on one basis
-the value is v0 + t*v1, read once from the columns b and s.  An LP's
-optimal value is unique, so every walked value equals that of a fresh
-`solve_lp` at t; only the basis, and so the point, may differ.
+reaches is optimal at t.  On one basis the value is the line v0 + t*v1,
+read once in integers from the columns b and s, and `walk` hands that
+line back with each value, so a caller that samples many t (the sigma
+schedule of `toric`) reads its lines off the walked basis instead of
+refitting them through the values.  An LP's optimal value is unique, so
+every walked value equals that of a fresh `solve_lp` at t; only the basis,
+and so the point, may differ.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ class LPResult:
     value: object = None   # Fraction when optimal
     point: tuple = None    # optimizer in the original free variables; None
                            # from `Polytope.walk`, which reads values only
+    line: tuple = None     # (v0, v1) from `Polytope.walk`: the value is
+                           # v0 + t*v1 on the basis it came from
 
 
 def _integers(values):
@@ -197,15 +202,16 @@ class Polytope:
         self._surplus = m
 
     def _phase2(self, objective):
-        """(rows, basis, cost) after phase 2 for objective at the phase-1 t;
-        cost is None when the objective is unbounded there."""
+        """(rows, basis, cost, scale) after phase 2 for objective at the
+        phase-1 t, cost being scale * objective on the split columns; cost
+        is None when the objective is unbounded there."""
         rows = list(self._rows)    # pivots replace rows, never edit one
         basis = list(self._basis)
-        cost, _ = _integers(objective)
+        cost, scale = _integers(objective)
         cost = cost + [-c for c in cost] + [0] * self._surplus
         if _run_simplex(rows, basis, cost) == UNBOUNDED:
-            return rows, basis, None
-        return rows, basis, cost
+            return rows, basis, None, scale
+        return rows, basis, cost, scale
 
     def minimize(self, objective) -> LPResult:
         """Minimize objective . x over P(t) at the phase-1 t by phase 2 under
@@ -214,7 +220,7 @@ class Polytope:
         if not self.feasible:
             return LPResult(INFEASIBLE)
         objective = tuple(objective)
-        rows, basis, cost = self._phase2(objective)
+        rows, basis, cost, _ = self._phase2(objective)
         if cost is None:
             return LPResult(UNBOUNDED)
         # the live column holds t.den times the right-hand side at t
@@ -223,40 +229,58 @@ class Polytope:
 
     def walk(self, objective, ts):
         """The minimum of objective . x over P(t) for each t of `ts` in turn,
-        lazily, as an LPResult without a point.
+        lazily, as an LPResult without a point; an optimal one carries the
+        line (v0, v1) of its basis, and its value is v0 + t*v1.
 
         Phase 2 runs once, at the phase-1 t.  Each t then resets the live
         right-hand side, and the dual simplex restores primal feasibility:
         the reduced costs do not depend on t, so the basis stays optimal.
         On one basis the value is v0 + t*v1, read once from the columns b
-        and s.  An LP's optimal value is unique, so each value equals that
-        of a fresh `solve_lp` at t.  An objective unbounded at the phase-1 t
-        is unbounded wherever P(t) is nonempty, and the walk goes on with
-        the zero objective, which every basis leaves dual feasible, to tell
+        and s, and every t on that basis gets the same line object.  An
+        LP's optimal value is unique, so each value equals that of a fresh
+        `solve_lp` at t.  An objective unbounded at the phase-1 t is
+        unbounded wherever P(t) is nonempty, and the walk goes on with the
+        zero objective, which every basis leaves dual feasible, to tell
         where that is."""
         if not self.feasible:
             raise DomainError("a walk needs a polyhedron nonempty at its phase-1 t")
-        objective = tuple(objective)
-        rows, basis, cost = self._phase2(objective)
+        rows, basis, cost, scale = self._phase2(tuple(objective))
         bounded = cost is not None
         if not bounded:
             cost = [0] * (2 * self.n + self._surplus)
-        read = None                # (basis, v0, v1) of the last basis read
+        # rows of its own, so the live column can be reset in place; pivots
+        # replace rows, so every later row is the walk's own as well
+        rows = [row[:] for row in rows]
+        read = None                # the basis of the last line read
         for t in map(Fraction, ts):
-            rows = [row[:-1] + [t.denominator * row[-3] + t.numerator * row[-2]]
-                    for row in rows]
+            for row in rows:
+                row[-1] = t.denominator * row[-3] + t.numerator * row[-2]
             if _dual_simplex(rows, basis, cost) == INFEASIBLE:
                 yield LPResult(INFEASIBLE)
             elif not bounded:
                 yield LPResult(UNBOUNDED)
             else:
-                if read is None or read[0] != basis:
-                    read = (list(basis), *(
-                        sum(map(mul, objective, _solution(rows, basis, self.n, col)),
-                            Fraction(0))
-                        for col in (-3, -2)))
-                _, v0, v1 = read
-                yield LPResult(OPTIMAL, v0 + t * v1)
+                if read != basis:
+                    read = list(basis)
+                    line = (_value(rows, basis, cost, scale, -3),
+                            _value(rows, basis, cost, scale, -2))
+                yield LPResult(OPTIMAL, line_at(*line, t), line=line)
+
+
+def line_at(v0: Fraction, v1: Fraction, t: Fraction) -> Fraction:
+    """v0 + t*v1, built as one Fraction over the common denominator."""
+    return Fraction(v0.numerator * v1.denominator * t.denominator
+                    + t.numerator * v1.numerator * v0.denominator,
+                    v0.denominator * v1.denominator * t.denominator)
+
+
+def _value(rows, basis, cost, scale, col) -> Fraction:
+    """The cost of the basic solution for the right-hand side in column
+    col, over scale: sum_i cost[basis[i]] * rows[i][col] / rows[i][basis[i]],
+    summed in integers over the lcm of the row denominators."""
+    terms = [(cost[b] * row[col], row[b]) for row, b in zip(rows, basis) if cost[b]]
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(num * (den // d) for num, d in terms), scale * den)
 
 
 def _solution(rows, basis, n, col, scale=1):

@@ -26,7 +26,7 @@ from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
 from .ideal import Ideal, ideal_contains, monomial_ideal, zero_ideal
 from .newton import _det, _orthogonal_normal, _primitive
 from .poly import mono_divides, ring
-from .simplex import INFEASIBLE, OPTIMAL, Polytope, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, Polytope, line_at, solve_lp
 
 
 #: Largest fan dimension accepted: `newton._det` expands cofactors, n! terms
@@ -59,6 +59,7 @@ class Fan:
         self.dim = len(self.rays[0]) if self.rays else 0
         self.max_cones = tuple(map(tuple, max_cones))
         self._walls = {}
+        self._charts = {}
         self._sequences = {}
         self._ample = None
         self._validate()
@@ -177,18 +178,24 @@ class Fan:
 
     def chart_for(self, sub):
         """(cone, positions): the first maximal cone containing the rays of
-        `sub`, and the chart coordinates of `sub` in it."""
-        for cone in self.max_cones:
-            if set(sub.rays) <= set(cone):
-                return cone, tuple(cone.index(i) for i in sub.rays)
-        raise DomainError(f"{sub} does not span a cone of the fan")
+        `sub`, and the chart coordinates of `sub` in it.  Memoized per
+        subvariety."""
+        chart = self._charts.get(sub.rays)
+        if chart is None:
+            rays = set(sub.rays)
+            cone = next((c for c in self.max_cones if rays <= set(c)), None)
+            if cone is None:
+                raise DomainError(f"{sub} does not span a cone of the fan")
+            chart = self._charts[sub.rays] = cone, tuple(cone.index(i) for i in sub.rays)
+        return chart
 
     def sequence(self, d: "ToricDivisor", cone, p: int) -> "GradedSequence":
         """The graded sequence m -> base-locus ideal of |mD| on the chart,
-        zero at levels where mD is not integral.  Memoized, so repeated tau
-        evaluations on the same divisor share every computed term."""
+        zero at levels where mD is not integral.  Memoized by the divisor,
+        whose hash is computed once, so repeated tau evaluations on the same
+        divisor share every computed term."""
         cone = tuple(sorted(cone))
-        key = (d.coefficients, cone, p)
+        key = (d, cone, p)
         if key not in self._sequences:
             amb = ring(p, *[f"x{i}" for i in cone])
             r = d.denominator   # m*D is integral exactly when r divides m
@@ -241,6 +248,15 @@ class ToricDivisor:
     def __add__(self, other) -> "ToricDivisor":
         return ToricDivisor._exact(tuple(a + b for a, b in zip(self.coefficients,
                                                                other.coefficients)))
+
+    def __hash__(self):
+        # memoized: `Fan.sequence` looks the divisor up on every tau
+        # evaluation, and each Fraction coefficient hashes slowly
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.coefficients)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def is_integral_at(self, level: int) -> bool:
         return all(level % c.denominator == 0 for c in self.coefficients)
@@ -537,11 +553,16 @@ def _order_objective(fan: Fan, sub: InvariantSubvariety) -> list:
 def _order_value(res, d: ToricDivisor, sub: InvariantSubvariety) -> Fraction:
     """ord_Z(||D||) from the solved order LP on P_D: its minimum plus the
     constant sum_{i in Z} d_i."""
+    _check_order(res)
+    return res.value + sum(d.coefficients[i] for i in sub.rays)
+
+
+def _check_order(res):
+    """The order LP of a pseudo-effective divisor is optimal."""
     if res.status == INFEASIBLE:
         raise DomainError("no pluri-sections: the section polytope is empty")
     if res.status != OPTIMAL:
         raise ContractError("order LP cannot be unbounded on a complete fan")
-    return res.value + sum(d.coefficients[i] for i in sub.rays)
 
 
 @dataclass(frozen=True)
@@ -583,10 +604,9 @@ def _eps_schedule(depth: int):
 
 class _Perturbations:
     """The divisors D + eps*A of one D and one checked ample A, each built
-    once per eps, so the sigma schedules of every subvariety, the tau_+
-    chains and the stable-base-locus grid of one D share them; and the
-    section polytopes P_{D + eps*A} of every eps as one tableau, so the
-    sigma schedules share one phase 1."""
+    once per eps, so the tau_+ chains and the stable-base-locus grid of one
+    D share them; and the section polytopes P_{D + eps*A} of every eps as
+    one tableau, so the sigma schedules share one phase 1."""
 
     def __init__(self, fan: Fan, d: ToricDivisor, a: ToricDivisor):
         self.fan, self.d, self.a = fan, d, a
@@ -613,19 +633,39 @@ class _Perturbations:
 def _sigma_samples(perturbations: _Perturbations, sub: InvariantSubvariety,
                    caps: Caps) -> SigmaResult:
     """The sigma schedule of D along `sub`, sampled at D + eps*A: one walk of
-    the order LP down the eps schedule on the shared tableau."""
-    samples = []
+    the order LP down the eps schedule on the shared tableau.
+
+    ord_Z(||D + eps*A||) is the walked minimum v0 + eps*v1 plus
+    c_D + eps*c_A, the sums of d_i and a_i over the rays of Z, so each
+    sample lies on the line (slope, intercept) = (v1 + c_A, v0 + c_D) of its
+    basis.  Two consecutive samples on equal lines have that line as their
+    chord; a chord is fitted through the samples only where the line
+    changes."""
+    c_d = sum(perturbations.d.coefficients[i] for i in sub.rays)
+    c_a = sum(perturbations.a.coefficients[i] for i in sub.rays)
+    schedule = _eps_schedule(caps.epsilon_depth)
     results = perturbations.polytope().walk(_order_objective(perturbations.fan, sub),
                                             _eps_schedule(caps.epsilon_depth))
+    samples = []
 
     def lines():
         # the line (slope, intercept) through each pair of consecutive samples
-        for k, eps in enumerate(_eps_schedule(caps.epsilon_depth)):
-            val = _order_value(next(results), perturbations.divisor(eps), sub)
+        walked = line = None
+        for k, (eps, res) in enumerate(zip(schedule, results)):
+            _check_order(res)
+            prev = line
+            if res.line is not walked:
+                walked = res.line
+                line = (walked[1] + c_a, walked[0] + c_d)
+            val = line_at(line[1], line[0], eps)
             if samples and val < samples[-1][1]:
                 raise ContractError("ord must not decrease as the ample part shrinks")
             samples.append((eps, val))
-            if k:
+            if not k:
+                continue
+            if line == prev:
+                yield k, line
+            else:
                 (e1, f1), (e2, f2) = samples[-2:]
                 slope = (f2 - f1) / (e2 - e1)
                 yield k, (slope, f2 - slope * e2)

@@ -208,6 +208,44 @@ def pseudo_effective_by_eps_lp(rays, coeffs, ample):
     return least is not None and least <= 0
 
 
+def pseudo_effective_threshold(rays, coeffs, ample):
+    """The least s with B + s*A pseudo-effective, B the divisor of coeffs:
+    the least s with <u, v_i> + b_i + s*a_i >= 0 solvable, by vertices.
+    B + s*A is then pseudo-effective but not big."""
+    n = len(rays[0])
+    rows = [(tuple(v) + (a,), -c) for v, c, a in zip(rays, coeffs, ample)]
+    return lp_min_by_vertices([0] * n + [1], rows, n + 1)[0]
+
+
+def sigma_by_eps_chords(rays, coeffs, ample, sub_rays, window, depth):
+    """sigma_Z(D) = lim ord_Z(||D + eps*A||) for eps -> 0 along 1/2^k,
+    sampled by vertex enumeration and extrapolated by chords.
+
+    ord_Z(||D + eps*A||) is the least sum over i in Z of
+    <u, v_i> + d_i + eps*a_i over P_{D + eps*A}.  A chord is fitted through
+    every pair of consecutive samples; once `window` consecutive chords
+    repeat their predecessor, the value is the intercept at eps = 0 of the
+    first chord of that run.  Returns (value, samples, evidence): value
+    None and "cap-reached" when the `depth` samples run out first, else
+    "window-stable"."""
+    n = len(rays[0])
+    objective = [sum(rays[i][k] for i in sub_rays) for k in range(n)]
+    samples, chords = [], []
+    for k in range(1, depth + 1):
+        eps = Fraction(1, 2 ** k)
+        shifted = [c + eps * a for c, a in zip(coeffs, ample)]
+        low, _ = lp_min_by_vertices(objective, _section_rows(rays, shifted), n)
+        samples.append((eps, low + sum(shifted[i] for i in sub_rays)))
+        if k > 1:
+            (e1, f1), (e2, f2) = samples[-2:]
+            slope = (f2 - f1) / (e2 - e1)
+            chords.append((slope, f2 - slope * e2))
+            run = chords[-window - 1:]
+            if len(run) == window + 1 and all(c == run[0] for c in run):
+                return run[0][1], tuple(samples), "window-stable"
+    return None, tuple(samples), "cap-reached"
+
+
 def fraction_simplex(objective, constraints, n):
     """The two-phase simplex on a `Fraction` tableau, reduced costs
     recomputed before every pivot, Bland's rule in both phases; an

@@ -362,16 +362,32 @@ def test_python_dash_m_runs_the_cli():
 
 
 class TestDeterminism:
+    #: a sigma schedule on f1 whose samples kink at eps = 1/4
+    SIGMA_KINKED = ("--json", "sigma", "--fan", "builtin:f1", "--divisor=3/4,2,1/2,3",
+                    "--cone", "3")
+
     @pytest.mark.parametrize("argv", [
         ["--json", "tau", "--ideal", "p=3; vars=x,y; gens=[x^2, x*y, y^3]",
          "--lambda", "5/2"],
         ["--json", "nonnef", "--fan", "builtin:f2", "--divisor", "1,-1,2,0"],
         ["--json", "verify", "subadditivity", "--seed", "7", "--budget", "20"],
+        SIGMA_KINKED,
     ])
     def test_byte_identical_runs(self, argv):
         code1, out1 = run_cli(list(argv))
         code2, out2 = run_cli(list(argv))
         assert code1 == code2 and out1 == out2
+
+    def test_sigma_samples_golden(self):
+        # ord_V(3)(||D + eps*A||) is 0 down to eps = 1/4 and then on the line
+        # 1/4 - eps: the walked basis changes between the 2nd and 3rd sample
+        code, out = run_cli(list(self.SIGMA_KINKED))
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "evidence": "window-stable",
+            "samples": [["1/2", "0"], ["1/4", "0"], ["1/8", "1/8"], ["1/16", "3/16"],
+                        ["1/32", "7/32"]],
+            "value": "1/4"}
 
     def test_environment_does_not_change_answers(self, monkeypatch):
         # the caps are set by flags only; variables named like them are ignored

@@ -17,7 +17,7 @@ from nonnef import (Caps, ContractError, DomainError, Ideal, Polynomial,
                     unit_ideal, zero_ideal)
 from nonnef.field import PrimeField
 from nonnef.frobenius import (_JUMP_GRID_CAP, _jump_grid, _root_memo, ceil_times,
-                              monomial_root_of_power, stabilize)
+                              check_lambda, monomial_root_of_power, stabilize)
 from nonnef.frobenius import test_ideal as tau
 from nonnef.verify import random_monomial_ideal
 from oracles import (jump_grid_by_fractions, naive_monomial_power_root,
@@ -320,6 +320,20 @@ class TestStabilize:
     def test_order_violation_is_contract_error(self):
         with pytest.raises(ContractError, match="members 1 and 2"):
             stabilize([(1, 2), (2, 1)], 2, operator.le)
+
+
+class TestCheckLambda:
+    def test_fraction_is_returned_as_it_is(self):
+        lam = Fraction(5, 6)
+        assert check_lambda(lam) is lam
+        assert check_lambda(3) == 3 and type(check_lambda(3)) is Fraction
+
+    @pytest.mark.parametrize("lam, message", [(True, "an int or a Fraction"),
+                                              (0.5, "an int or a Fraction"),
+                                              (Fraction(-1, 2), "non-negative")])
+    def test_refused(self, lam, message):
+        with pytest.raises(DomainError, match=message):
+            check_lambda(lam)
 
 
 class TestTestIdeal:

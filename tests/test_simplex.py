@@ -215,26 +215,38 @@ def _at(cons, t):
 
 def test_walk_values_equal_a_fresh_solve_at_every_t(pivots):
     statuses = Counter()
+    line_changes = 0
     dual_pivots = 0
     for cons, n, rng in _shifted_lps(11, 150):
         poly = Polytope(cons, n, WALK_TS[0])
         if not poly.feasible:
             assert not Polytope(_at(cons, WALK_TS[0]), n).feasible
             continue
-        for _ in range(2):
+        for fractional in (False, True):
             obj = [rng.randrange(-3, 4) for _ in range(n)]
+            if fractional:   # the walk reads its lines over the objective's scale
+                obj = [Fraction(c, rng.randrange(1, 4)) for c in obj]
             walk = poly.walk(obj, WALK_TS)
             walked = [next(walk)]      # phase 2 runs before the first value
             pivots[0] = 0
             walked += walk
             dual_pivots += pivots[0]
             assert len(walked) == len(WALK_TS)
+            line = None
             for t, res in zip(WALK_TS, walked):
                 fresh = solve_lp(obj, _at(cons, t), n)
                 assert (res.status, res.value) == (fresh.status, fresh.value), (cons, obj, t)
                 assert type(res.value) is type(fresh.value)
                 statuses[res.status] += 1
-    assert dual_pivots > 0
+                if res.status != OPTIMAL:
+                    assert res.line is None
+                    continue
+                # the line of the basis the value came from gives it at t
+                v0, v1 = res.line
+                assert v0 + t * v1 == res.value == fresh.value, (cons, obj, t)
+                line_changes += line is not None and res.line != line
+                line = res.line
+    assert dual_pivots > 0 and line_changes > 0
     assert set(statuses) == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 

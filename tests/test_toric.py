@@ -21,7 +21,8 @@ from nonnef.simplex import Polytope
 from fans import (TWO_FOLD_CYCLE, blow_up_point, cycle_times_lines, product_of_lines,
                   projective_space, suspension)
 from oracles import (big_by_vertices, effective_by_vertices, lattice_minimals_by_enumeration,
-                     lp_min_by_vertices, pseudo_effective_by_eps_lp)
+                     lp_min_by_vertices, pseudo_effective_by_eps_lp, pseudo_effective_threshold,
+                     sigma_by_eps_chords)
 
 E_SUB = InvariantSubvariety((3,))
 FANS = ("p2", "p1xp1", "f1", "f2", "p3")
@@ -122,6 +123,33 @@ class TestDomainChecks:
     def test_repeated_ray_rejected(self):
         with pytest.raises(DomainError, match="twice"):
             InvariantSubvariety((0, 0))
+
+
+class TestMemos:
+    def test_sequence_is_shared_by_equal_divisors(self):
+        fan = builtin_fan("f1")
+        seq = fan.sequence(divisor(0, 0, 2, 1), (0, 3), 2)
+        assert fan.sequence(divisor(0, 0, Fraction(4, 2), 1), (3, 0), 2) is seq
+        assert fan.sequence(divisor(0, 0, 2, 1), (0, 3), 3) is not seq
+        assert fan.sequence(divisor(0, 0, 2, 2), (0, 3), 2) is not seq
+
+    def test_divisor_coefficients_are_hashed_once(self, monkeypatch):
+        d = divisor(Fraction(1, 2), 3, Fraction(-2, 3))
+        h = hash(d)
+        hashed = []
+        fraction_hash = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__",
+                            lambda c: hashed.append(c) or fraction_hash(c))
+        assert hash(d) == h and hashed == []
+        assert hash(divisor(Fraction(1, 2), 3, Fraction(-2, 3))) == h and len(hashed) == 3
+
+    def test_chart_is_found_once_per_subvariety(self):
+        fan = builtin_fan("f2")
+        for sub in fan.invariant_subvarieties():
+            cone, positions = fan.chart_for(sub)
+            assert set(sub.rays) <= set(cone) and cone in fan.max_cones
+            assert tuple(cone[i] for i in positions) == sub.rays
+            assert fan.chart_for(InvariantSubvariety(sub.rays)) is fan.chart_for(sub)
 
 
 class TestClassification:
@@ -353,6 +381,52 @@ class TestSigma:
                     (eps, asymptotic_ord_toric(fan, d + fan.ample.scale(eps), sub))
                     for eps, _ in res.samples)
         assert True in kinds
+
+    #: divisors whose sigma samples kink inside the schedule, so the basis
+    #: line changes between two samples and a chord is fitted there
+    KINKED = (("f1", (Fraction(3, 4), 2, Fraction(1, 2), 3)),                # big
+              ("f1", (Fraction(1, 4), Fraction(3, 2), Fraction(-7, 4), 2)),  # not big
+              ("f2", (Fraction(-1, 4), 1, 2, 3)),                           # big
+              ("f2", (0, Fraction(1, 12), 0, 0)))                           # not big
+
+    def test_sigma_equals_the_eps_chord_oracle(self):
+        """Value, samples and evidence of sigma equal the oracle's, which
+        solves every sample by vertex enumeration and fits every chord, on
+        seeded rational divisors of every built-in fan, big and on the
+        boundary of the pseudo-effective cone, under the default caps and
+        under an epsilon_depth too small to stabilize."""
+        drawn = []
+        for name in FANS:
+            fan = builtin_fan(name)
+            rng = random.Random(f"sigma-oracle:{name}")
+            for k in range(12):
+                b = [Fraction(rng.randint(-4, 6), rng.choice((1, 2, 3, 4))) for _ in fan.rays]
+                if k % 2:   # push B onto the boundary: pseudo-effective, not big
+                    s = pseudo_effective_threshold(fan.rays, b, fan.ample.coefficients)
+                    b = [c + s * a for c, a in zip(b, fan.ample.coefficients)]
+                drawn.append((name, b))
+        kinds, kinked, evidences = Counter(), Counter(), Counter()
+        for name, coeffs in drawn + list(self.KINKED):
+            fan = builtin_fan(name)
+            d = ToricDivisor(tuple(coeffs))
+            cls = classify_divisor(fan, d)
+            if not cls.pseudo_effective:
+                continue
+            kinds[name, cls.big] += 1
+            for sub in fan.invariant_subvarieties():
+                for caps in (Caps(), Caps(epsilon_depth=2)):
+                    res = sigma(fan, d, sub, caps=caps)
+                    assert (res.value, res.samples, res.evidence) == sigma_by_eps_chords(
+                        fan.rays, d.coefficients, fan.ample.coefficients, sub.rays,
+                        caps.window, caps.epsilon_depth), (name, d, sub, caps)
+                    evidences[res.evidence] += 1
+                    kinked[name] += any(
+                        (f2 - f1) * (e3 - e2) != (f3 - f2) * (e2 - e1)
+                        for (e1, f1), (e2, f2), (e3, f3)
+                        in zip(res.samples, res.samples[1:], res.samples[2:]))
+        assert {(name, big) for name in FANS for big in (True, False)} <= set(kinds)
+        assert kinked["f1"] and kinked["f2"]
+        assert evidences["window-stable"] and evidences["cap-reached"]
 
     def test_not_psef_rejected(self):
         with pytest.raises(DomainError, match="pseudo-effective"):
