@@ -28,8 +28,7 @@ print("ord_E of |mD| for m = 1..6:",
       [base_locus_ord(fan, d, m, E) for m in range(1, 7)])
 print("ord_E(||D||) by exact LP:", asymptotic_ord_toric(fan, d, E))
 sg = sigma(fan, d, E)
-print("sigma_E(D) by extrapolation:", sg.value,
-      "from samples", [(str(t), str(v)) for t, v in sg.samples])
+print("sigma_E(D), the order LP on P_D:", sg.value, f"[{sg.evidence}]")
 print()
 
 # Chart test ideals: tau detects the E-multiplicity m, its perturbed

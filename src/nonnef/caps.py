@@ -19,11 +19,11 @@ class Caps:
                                  # exactly at the Newton-facet certificate
     e_max_general: int = 5       # Frobenius-iterate cap, general chain
     window: int = 2              # consecutive repeats that stop the general,
-                                 # asymptotic, stable-base-locus and sigma chains
+                                 # asymptotic and stable-base-locus chains
     m_cap: int = 64              # divisibility-chain cap for asymptotic chains
                                  # and stable base loci
-    epsilon_depth: int = 12      # eps = 1/2^k schedules of tau_+ and sigma, k <= depth;
-                                 # tau_+ stops at its first repeat, not at `window`
+    epsilon_depth: int = 12      # eps = 1/2^k schedule of tau_+, k <= depth; it
+                                 # stops at its first repeat, not at `window`
     gb_pair_cap: int = 20000     # Buchberger S-pair budget
     power_degree_cap: int = 512  # total-degree cap for powers of general ideals
 

@@ -250,7 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--fan", required=True)
     c.add_argument("--divisor", required=True)
     c.add_argument("--cone", required=True)
-    c.add_argument("--ample", default=None)
 
     c = cmd("nonnef", help="non-nef locus with three-method cross-check")
     c.add_argument("--fan", required=True)
@@ -321,9 +320,8 @@ def _dispatch(args) -> int:
         return _emit(args, verb, {"ord": val})
     if verb == "sigma":
         fan = _load_fan(args.fan)
-        amp = ToricDivisor(parse_divisor(args.ample)) if args.ample else None
         r = sigma(fan, ToricDivisor(parse_divisor(args.divisor)),
-                  _load_subvariety(args.cone), amp, caps)
+                  _load_subvariety(args.cone))
         return _emit(args, verb, r)
     if verb == "nonnef":
         fan = _load_fan(args.fan)

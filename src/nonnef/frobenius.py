@@ -227,14 +227,14 @@ def _principal_monomial_closed_form(a: Ideal, lam: Fraction) -> TestIdealResult:
 
 
 def stabilize(members, window: int, order, key=None):
-    """Walk chain members (index, value) and return
+    """Scan chain members (index, value) and return
     (value, first_index, stabilized).
 
     Every "for e >> 0", "for m divisible enough" and "for eps small enough"
     in the package is read off such a chain.  order(prev, cur) is the
     theorem that makes the chain monotone; a failure is a ContractError.
     Members are compared by key(value) when a key is given, else by value.
-    The walk stops once `window` consecutive members equal their
+    The scan stops once `window` consecutive members equal their
     predecessor.  The value returned is the first-seen member of the final
     run and first_index the index where it appeared; an exhausted chain
     returns its last run with stabilized=False.

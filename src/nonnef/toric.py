@@ -21,12 +21,12 @@ from .asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_test_id
 from .caps import DEFAULT_CAPS, Caps
 from .errors import ContractError, DomainError, ResourceLimitError, require_int
 from .field import PrimeField
-from .frobenius import (EVIDENCE_CAP, EVIDENCE_WINDOW, TestIdealResult,
+from .frobenius import (EVIDENCE_CAP, EVIDENCE_CLOSED, EVIDENCE_WINDOW, TestIdealResult,
                         check_lambda, stabilize, worst_evidence)
 from .ideal import Ideal, ideal_contains, monomial_ideal, zero_ideal
 from .newton import _det, _orthogonal_normal, _primitive
 from .poly import mono_divides, ring
-from .simplex import INFEASIBLE, OPTIMAL, Polytope, line_at, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, Polytope, solve_lp
 
 
 #: Largest fan dimension accepted: `newton._det` expands cofactors, n! terms
@@ -95,6 +95,10 @@ class Fan:
                 raise DomainError(f"smoothness failure: cone {c} has determinant != +-1")
         self._check_complete()
         self._ample = self._find_ample()
+        subs = {t for cone in self.max_cones for k in range(1, n + 1)
+                for t in combinations(cone, k)}
+        self._subvarieties = tuple(InvariantSubvariety(t)
+                                   for t in sorted(subs, key=lambda t: (len(t), t)))
 
     def _check_complete(self):
         n = self.dim
@@ -169,12 +173,9 @@ class Fan:
         return self._ample
 
     def invariant_subvarieties(self):
-        """Every nonempty torus-invariant subvariety, smallest codim first."""
-        subs = set()
-        for cone in self.max_cones:
-            for k in range(1, self.dim + 1):
-                subs.update(combinations(cone, k))
-        return tuple(InvariantSubvariety(t) for t in sorted(subs, key=lambda t: (len(t), t)))
+        """Every nonempty torus-invariant subvariety, smallest codim first;
+        one tuple, built at validation."""
+        return self._subvarieties
 
     def chart_for(self, sub):
         """(cone, positions): the first maximal cone containing the rays of
@@ -541,50 +542,38 @@ def asymptotic_ord_toric(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety) ->
     over the rational section polytope."""
     _check_length(fan, d)
     fan.chart_for(sub)     # DomainError unless the rays of Z span a cone
-    res = Polytope(fan.polytope_constraints(d), fan.dim).minimize(_order_objective(fan, sub))
-    return _order_value(res, d, sub)
+    return _order_lp(fan, Polytope(fan.polytope_constraints(d), fan.dim), d, sub)
 
 
-def _order_objective(fan: Fan, sub: InvariantSubvariety) -> list:
-    """u -> sum_{i in Z} <u, v_i>, the linear part of the order LP."""
-    return [sum(fan.rays[i][k] for i in sub.rays) for k in range(fan.dim)]
-
-
-def _order_value(res, d: ToricDivisor, sub: InvariantSubvariety) -> Fraction:
-    """ord_Z(||D||) from the solved order LP on P_D: its minimum plus the
-    constant sum_{i in Z} d_i."""
-    _check_order(res)
-    return res.value + sum(d.coefficients[i] for i in sub.rays)
-
-
-def _check_order(res):
-    """The order LP of a pseudo-effective divisor is optimal."""
+def _order_lp(fan: Fan, section: Polytope, d: ToricDivisor,
+              sub: InvariantSubvariety) -> Fraction:
+    """ord_Z(||D||) on the section polytope P_D: the minimum of
+    u -> sum_{i in Z} <u, v_i> plus the constant sum_{i in Z} d_i."""
+    res = section.minimize([sum(fan.rays[i][k] for i in sub.rays) for k in range(fan.dim)])
     if res.status == INFEASIBLE:
         raise DomainError("no pluri-sections: the section polytope is empty")
     if res.status != OPTIMAL:
         raise ContractError("order LP cannot be unbounded on a complete fan")
+    return res.value + sum(d.coefficients[i] for i in sub.rays)
 
 
 @dataclass(frozen=True)
 class SigmaResult:
-    value: object          # exact rational limit, or None if cap-reached
-    samples: tuple         # ((eps, ord value), ...) evidence
+    value: Fraction
     evidence: str
 
 
-def sigma(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety,
-          ample: ToricDivisor = None, caps: Caps = DEFAULT_CAPS) -> SigmaResult:
-    """sigma_Z(D) = lim of ord_Z(||D + eps*A||) for eps -> 0 along 1/2^k.
+def sigma(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety) -> SigmaResult:
+    """sigma_Z(D) = lim ord_Z(||D + eps*A||) for eps -> 0, graded closed-form.
 
-    The LP value is piecewise linear and convex in eps, so caps.window + 2
-    consecutive collinear samples (four by default) pin the final linear
-    piece and the limit at 0 is its exact extrapolation."""
-    cls = classify_divisor(fan, d)
-    fan.chart_for(sub)     # DomainError unless the rays of Z span a cone
-    if not cls.pseudo_effective:
+    On a complete toric variety the limit is the order LP on P_D itself:
+    the LP value is a polyhedral convex function of the right-hand side,
+    so it is continuous on its closed domain, and pseudo-effective is
+    effective, so P_D is nonempty.  Neither A nor any cap enters."""
+    if not classify_divisor(fan, d).pseudo_effective:
         raise DomainError("sigma is undefined: divisor is not pseudo-effective "
                           "(the non-nef locus is everything)")
-    return _sigma_samples(_Perturbations(fan, d, _perturbation(fan, ample)), sub, caps)
+    return SigmaResult(asymptotic_ord_toric(fan, d, sub), EVIDENCE_CLOSED)
 
 
 def _perturbation(fan: Fan, ample) -> ToricDivisor:
@@ -598,83 +587,23 @@ def _perturbation(fan: Fan, ample) -> ToricDivisor:
 
 
 def _eps_schedule(depth: int):
-    """eps = 1/2, 1/4, ..., 1/2^depth: the schedule of sigma and tau_+."""
+    """eps = 1/2, 1/4, ..., 1/2^depth: the schedule of tau_+."""
     return (Fraction(1, 2 ** k) for k in range(1, depth + 1))
 
 
 class _Perturbations:
     """The divisors D + eps*A of one D and one checked ample A, each built
     once per eps, so the tau_+ chains and the stable-base-locus grid of one
-    D share them; and the section polytopes P_{D + eps*A} of every eps as
-    one tableau, so the sigma schedules share one phase 1."""
+    D share them."""
 
     def __init__(self, fan: Fan, d: ToricDivisor, a: ToricDivisor):
         self.fan, self.d, self.a = fan, d, a
         self._divisors: dict = {}
-        self._polytope = None
 
     def divisor(self, eps) -> ToricDivisor:
         if eps not in self._divisors:
             self._divisors[eps] = self.d + self.a.scale(eps)
         return self._divisors[eps]
-
-    def polytope(self) -> Polytope:
-        """P_{D + t*A} = {u : <u, v_i> >= -d_i - t*a_i}, with phase 1 run at
-        t = 1/2, the first eps of every schedule."""
-        if self._polytope is None:
-            fan = self.fan
-            self._polytope = Polytope(
-                [(v, -c, -a) for v, c, a in zip(fan.rays, self.d.coefficients,
-                                                 self.a.coefficients)],
-                fan.dim, Fraction(1, 2))
-        return self._polytope
-
-
-def _sigma_samples(perturbations: _Perturbations, sub: InvariantSubvariety,
-                   caps: Caps) -> SigmaResult:
-    """The sigma schedule of D along `sub`, sampled at D + eps*A: one walk of
-    the order LP down the eps schedule on the shared tableau.
-
-    ord_Z(||D + eps*A||) is the walked minimum v0 + eps*v1 plus
-    c_D + eps*c_A, the sums of d_i and a_i over the rays of Z, so each
-    sample lies on the line (slope, intercept) = (v1 + c_A, v0 + c_D) of its
-    basis.  Two consecutive samples on equal lines have that line as their
-    chord; a chord is fitted through the samples only where the line
-    changes."""
-    c_d = sum(perturbations.d.coefficients[i] for i in sub.rays)
-    c_a = sum(perturbations.a.coefficients[i] for i in sub.rays)
-    schedule = _eps_schedule(caps.epsilon_depth)
-    results = perturbations.polytope().walk(_order_objective(perturbations.fan, sub),
-                                            _eps_schedule(caps.epsilon_depth))
-    samples = []
-
-    def lines():
-        # the line (slope, intercept) through each pair of consecutive samples
-        walked = line = None
-        for k, (eps, res) in enumerate(zip(schedule, results)):
-            _check_order(res)
-            prev = line
-            if res.line is not walked:
-                walked = res.line
-                line = (walked[1] + c_a, walked[0] + c_d)
-            val = line_at(line[1], line[0], eps)
-            if samples and val < samples[-1][1]:
-                raise ContractError("ord must not decrease as the ample part shrinks")
-            samples.append((eps, val))
-            if not k:
-                continue
-            if line == prev:
-                yield k, line
-            else:
-                (e1, f1), (e2, f2) = samples[-2:]
-                slope = (f2 - f1) / (e2 - e1)
-                yield k, (slope, f2 - slope * e2)
-
-    # the value is convex in eps, so slopes cannot increase as eps shrinks
-    line, _, stable = stabilize(lines(), caps.window, lambda prev, cur: cur[0] <= prev[0])
-    if not stable:
-        return SigmaResult(None, tuple(samples), EVIDENCE_CAP)
-    return SigmaResult(line[1], tuple(samples), EVIDENCE_WINDOW)
 
 
 # -- stable base loci ----------------------------------------------------------------
@@ -790,11 +719,13 @@ def _tau_plus(perturbations: _Perturbations, lam, cone, p: int,
 @dataclass(frozen=True)
 class MethodRecord:
     subvariety: InvariantSubvariety
-    sigma_value: object
-    lp_member: object              # bool, or None when sigma is cap-reached
+    sigma_value: Fraction
+    lp_member: bool
     tau_member: bool
     base_locus_member: bool
-    evidence: str
+    evidence: str                  # the weakest grade of the three memberships:
+                                   # sigma (closed-form), tau or tau_+ on the
+                                   # record's chart, and the stable-base-locus grid
 
 
 @dataclass(frozen=True)
@@ -804,7 +735,7 @@ class NonNefReport:
     positive_sigma: tuple          # maximal members only: ((subvariety, sigma), ...)
     members: tuple                 # every invariant subvariety in B_-(D)
     cross_checks: tuple            # per-subvariety MethodRecord
-    certified: bool
+    certified: bool                # no record graded cap-reached
     # B_- is reported as the finite union of the detected invariant
     # subvarieties; no claim of Zariski-closedness beyond that union.
 
@@ -816,8 +747,8 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     """Compute B_-(D) three independent ways for every invariant
     subvariety and require agreement:
 
-      1. the exact LP sigma invariant (positive iff member; no vote when
-         its schedule ends cap-reached),
+      1. the exact LP sigma invariant, the order LP on P_D (positive iff
+         member),
       2. vanishing of the chart test ideal tau(tau_level_cap * ||D||) (big
          case) or tau_+(tau_level_cap * ||D||) (pseudo-effective case),
       3. membership in the stable base locus of D + eps*A on a shrinking
@@ -825,7 +756,8 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
 
     B_-(D) is the union over m of V(tau(m||D||)); the test ideals shrink as
     m grows, so its part for m <= tau_level_cap is V(tau(tau_level_cap||D||))
-    alone, one evaluation per chart.  Of method 2, `certified` sees only it.
+    alone, one evaluation per chart.  Each record is graded by its weakest
+    method, and the report is certified when no record is cap-reached.
 
     Disagreement raises ContractError: the three characterizations are
     theorems, so a mismatch is an implementation bug, not data.  One
@@ -849,41 +781,36 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
 
     # method 2 once per chart, at the single level tau_level_cap
     charts = sorted({fan.chart_for(s)[0] for s in subs})
-    tau_by_chart = {}
-    evidences = []
-    for cone in charts:
-        r = (tau_toric(fan, d, tau_level_cap, cone, p, caps) if cls.big
-             else _tau_plus(perturbations, tau_level_cap, cone, p, caps))
-        evidences.append(r.evidence)
-        tau_by_chart[cone] = r.ideal
+    tau_by_chart = {cone: (tau_toric(fan, d, tau_level_cap, cone, p, caps) if cls.big
+                           else _tau_plus(perturbations, tau_level_cap, cone, p, caps))
+                    for cone in charts}
 
     # method 3 once per eps
     sbl_members = {}
+    sbl_evidence = EVIDENCE_WINDOW
     for eps in grid:
         rep = stable_base_locus(fan, perturbations.divisor(eps), caps)
         if not rep.certified:
-            evidences.append(EVIDENCE_CAP)
+            sbl_evidence = EVIDENCE_CAP
         sbl_members[eps] = set(rep.members)
     for big_eps, small_eps in zip(grid, grid[1:]):
         if not sbl_members[big_eps] <= sbl_members[small_eps]:
             raise ContractError("perturbed base loci must grow as eps shrinks")
     finest = sbl_members[grid[-1]]
 
-    # method 1: the order LPs of every subvariety walk one tableau of P_{D + eps*A}
+    # method 1: the order LPs of every subvariety share one polytope P_D
+    section = Polytope(fan.polytope_constraints(d), fan.dim)
     records = []
     members = []
     sigma_of = {}
     for sub in subs:
-        sg = _sigma_samples(perturbations, sub, caps)
-        if sg.evidence == EVIDENCE_CAP:
-            evidences.append(EVIDENCE_CAP)
-        # a cap-reached sigma has no value; the other two methods decide
-        lp_member = None if sg.value is None else sg.value > 0
+        value = _order_lp(fan, section, d, sub)
+        lp_member = value > 0
         cone, positions = fan.chart_for(sub)
-        z = CoordinateSubvariety(positions)
-        tau_member = ord_along(tau_by_chart[cone], z) >= 1
+        tau = tau_by_chart[cone]
+        tau_member = ord_along(tau.ideal, CoordinateSubvariety(positions)) >= 1
         bl_member = sub in finest
-        if tau_member != bl_member or lp_member not in (None, tau_member):
+        if not lp_member == tau_member == bl_member:
             disagreement = (f"non-nef membership methods disagree at {sub} for D={d}: "
                             f"sigma>0 is {lp_member}, tau-vanishing is {tau_member}, "
                             f"perturbed base locus is {bl_member}")
@@ -893,15 +820,16 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
                         f" (tau_+ at the level tau_level_cap={tau_level_cap} does not "
                         f"vanish; it shrinks as the level grows, so a larger cap may "
                         f"be needed before suspecting the implementation)")
-                elif tau_level_cap < (needed := _tau_level_needed(sub, sg.value)):
+                elif tau_level_cap < (needed := _tau_level_needed(sub, value)):
                     raise ResourceLimitError(
-                        f"{disagreement}; with sigma={sg.value}, the order estimate "
+                        f"{disagreement}; with sigma={value}, the order estimate "
                         f"makes tau vanish along {sub} from level {needed} = "
                         f"ceil(codim/sigma) on, above tau_level_cap={tau_level_cap}")
             raise ContractError(disagreement)
-        records.append(MethodRecord(sub, sg.value, lp_member, tau_member,
-                                    bl_member, sg.evidence))
-        sigma_of[sub] = sg.value
+        records.append(MethodRecord(sub, value, lp_member, tau_member, bl_member,
+                                    worst_evidence(EVIDENCE_CLOSED, tau.evidence,
+                                                   sbl_evidence)))
+        sigma_of[sub] = value
         if tau_member:
             members.append(sub)
 
@@ -914,7 +842,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     if len(codim1) > fan.picard_number:
         raise ContractError("codimension-one members exceed the Picard number")
     positive = tuple((s, sigma_of[s]) for s in _sorted_subs(maximal))
-    certified = EVIDENCE_CAP not in evidences
+    certified = all(r.evidence != EVIDENCE_CAP for r in records)
     return NonNefReport(d, status, positive, _sorted_subs(members),
                         tuple(records), certified)
 

@@ -194,7 +194,10 @@ def test_criterion_8_three_method_agreement(nonnef_sweep):
             # agreement is hard-asserted inside non_nef_locus; re-verify the
             # per-subvariety records and the nef case here
             for rec in rep.cross_checks:
+                assert isinstance(rec.lp_member, bool)
                 assert rec.lp_member == rec.tau_member == rec.base_locus_member
+            assert rep.certified == all(rec.evidence != "cap-reached"
+                                        for rec in rep.cross_checks)
             if rep.status == "nef":
                 assert rep.positive_sigma == () and rep.members == ()
     assert total == 216 + 3 * 300

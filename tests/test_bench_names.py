@@ -30,3 +30,13 @@ def test_traced_name_resolves(dotted):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert obj is not None
+
+
+def test_builtin_fan_carries_the_sequence_memo():
+    # `cache_metrics` sums len(fan._sequences) over the built-in fans
+    assert "._sequences" in TRACING.read_text()
+    toric = importlib.import_module("nonnef.toric")
+    fan = toric.builtin_fan("f1")
+    assert fan in toric._BUILTIN_CACHE.values()
+    fan.sequence(toric.divisor(0, 0, 2, 1), fan.max_cones[0], 2)
+    assert len(fan._sequences) >= 1

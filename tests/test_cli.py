@@ -73,16 +73,20 @@ class TestBasicVerbs:
         assert payload["status"] == "pseudo-effective-not-nef"
         assert payload["positive_sigma"] == [[[3], "1"]]
 
-    @pytest.mark.parametrize("flag", [["--window", "11"], ["--epsilon-depth", "2"]],
+    @pytest.mark.parametrize("flag, certified", [(["--window", "11"], False),
+                                                 (["--epsilon-depth", "2"], True)],
                              ids=["window", "epsilon-depth"])
-    def test_nonnef_with_capped_sigma(self, flag):
+    def test_nonnef_with_capped_sigma(self, flag, certified):
+        # no cap reaches sigma; --window 11 outlasts the stable-base-locus chain
         code, out = run_cli(["--json"] + flag + ["nonnef", "--fan", "builtin:blowup-p2",
                                                  "--divisor", "0,0,2,1"])
         payload = json.loads(out)["result"]
         assert code == 0 and payload["status"] == "pseudo-effective-not-nef"
-        assert payload["certified"] is False
-        assert payload["positive_sigma"] == [[[3], None]]
-        assert all(r["lp_member"] is None for r in payload["cross_checks"])
+        assert payload["certified"] is certified
+        assert payload["positive_sigma"] == [[[3], "1"]]
+        for r in payload["cross_checks"]:
+            assert r["evidence"] == ("window-stable" if certified else "cap-reached")
+            assert r["lp_member"] == r["tau_member"] == r["base_locus_member"]
 
     def test_tau_plus(self):
         code, out = run_cli(["--json", "tau-plus", "--fan", "builtin:blowup-p2",
@@ -287,10 +291,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, code", [
         (["toric-classify", "--fan", "builtin:f2", "--divisor", "-1,1,0,1"], 0),
         (["nonnef", "--fan", "builtin:p2", "--divisor", "-1,0,0"], 0),
-        (["sigma", "--fan", "builtin:p2", "--divisor", "1,0,0", "--cone", "0",
-          "--ample", "-1,2,2"], 0),
+        (["nonnef", "--fan", "builtin:p2", "--divisor", "1,0,0", "--ample", "-1,2,2"], 0),
         (["tau", "--ideal", "p=2; vars=x; gens=[x]", "--lambda", "-1/2"], 1),
-    ], ids=["toric-classify", "nonnef", "sigma-ample", "tau-lambda"])
+    ], ids=["toric-classify", "nonnef", "nonnef-ample", "tau-lambda"])
     def test_negative_value_after_its_option(self, argv, code):
         got, out = run_cli(["--json"] + argv)
         report = json.loads(out)
@@ -362,7 +365,7 @@ def test_python_dash_m_runs_the_cli():
 
 
 class TestDeterminism:
-    #: a sigma schedule on f1 whose samples kink at eps = 1/4
+    #: a sigma on f1 whose perturbed orders ord(||D + eps*A||) kink at eps = 1/4
     SIGMA_KINKED = ("--json", "sigma", "--fan", "builtin:f1", "--divisor=3/4,2,1/2,3",
                     "--cone", "3")
 
@@ -380,14 +383,12 @@ class TestDeterminism:
 
     def test_sigma_samples_golden(self):
         # ord_V(3)(||D + eps*A||) is 0 down to eps = 1/4 and then on the line
-        # 1/4 - eps: the walked basis changes between the 2nd and 3rd sample
+        # 1/4 - eps; sigma is its value at eps = 0, the order LP on P_D
         code, out = run_cli(list(self.SIGMA_KINKED))
         assert code == 0
-        assert json.loads(out)["result"] == {
-            "evidence": "window-stable",
-            "samples": [["1/2", "0"], ["1/4", "0"], ["1/8", "1/8"], ["1/16", "3/16"],
-                        ["1/32", "7/32"]],
-            "value": "1/4"}
+        assert json.loads(out)["result"] == {"evidence": "closed-form", "value": "1/4"}
+        code, out = run_cli(["--json", "toric-ord"] + list(self.SIGMA_KINKED[2:]))
+        assert code == 0 and json.loads(out)["result"] == {"ord": "1/4"}
 
     def test_environment_does_not_change_answers(self, monkeypatch):
         # the caps are set by flags only; variables named like them are ignored

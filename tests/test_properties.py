@@ -128,8 +128,6 @@ class TestSigmaSemicontinuityProbe:
             base = sigma(fan, d, sub)
             ts = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
             vals = [sigma(fan, d + g.scale(t), sub) for t in ts]
-            if base.value is None or any(v.value is None for v in vals):
-                continue
             s1 = (vals[1].value - vals[0].value) / (ts[1] - ts[0])
             s2 = (vals[2].value - vals[1].value) / (ts[2] - ts[1])
             if s1 == s2:
@@ -266,8 +264,9 @@ def test_uncertified_toric_report_counts_only_as_skipped(monkeypatch):
         return non_nef_locus(fan, d, **kw)
 
     monkeypatch.setattr(verify_mod, "non_nef_locus", counting)
-    # one eps sample gives sigma no slope, so every pseudo-effective D is capped
-    [result] = run_suite("toric-equivalences", 0, 12, Caps(epsilon_depth=1))
+    # a window longer than the stable-base-locus chain caps the report of
+    # every pseudo-effective D
+    [result] = run_suite("toric-equivalences", 0, 12, Caps(window=11))
     assert result.skipped_cap_flagged > 0 and result.violations == 0
     assert result.cases + result.skipped_cap_flagged == len(calls) == 12
 

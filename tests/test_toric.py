@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from math import inf
@@ -34,9 +35,9 @@ def polytopes(monkeypatch):
     built = []
     init = Polytope.__init__
 
-    def counting(self, constraints, n, *t):
+    def counting(self, constraints, n):
         built.append(n)
-        init(self, constraints, n, *t)
+        init(self, constraints, n)
 
     monkeypatch.setattr(Polytope, "__init__", counting)
     return built
@@ -143,6 +144,12 @@ class TestMemos:
         assert hash(d) == h and hashed == []
         assert hash(divisor(Fraction(1, 2), 3, Fraction(-2, 3))) == h and len(hashed) == 3
 
+    def test_subvarieties_are_built_once(self):
+        fan = builtin_fan("p3")
+        subs = fan.invariant_subvarieties()
+        assert fan.invariant_subvarieties() is subs
+        assert [s.codim for s in subs] == [1] * 4 + [2] * 6 + [3] * 4
+
     def test_chart_is_found_once_per_subvariety(self):
         fan = builtin_fan("f2")
         for sub in fan.invariant_subvarieties():
@@ -236,7 +243,7 @@ class TestWorkedExample:
 
     def test_sigma_is_one(self):
         res = sigma(self.fan, self.d, E_SUB)
-        assert res.value == 1 and res.evidence == "window-stable"
+        assert res.value == 1 and res.evidence == "closed-form"
 
     def test_tau_chain(self):
         for m in (1, 2, 3):
@@ -354,16 +361,18 @@ class TestSigma:
         fan, ph, e = blowup_lab()
         d = ph + e
         for sub in fan.invariant_subvarieties():
-            res = sigma(fan, d, sub)
-            assert res.value == asymptotic_ord_toric(fan, d, sub)
-            assert res.samples == tuple(
-                (eps, asymptotic_ord_toric(fan, d + fan.ample.scale(eps), sub))
-                for eps, _ in res.samples)
+            assert sigma(fan, d, sub).value == asymptotic_ord_toric(fan, d, sub)
 
     @pytest.mark.parametrize("name", FANS)
     def test_walked_samples_equal_fresh_order_lps(self, name):
-        """Every sample of the one walked tableau is the order LP solved
-        afresh on P_{D + eps*A}, for big and for merely pseudo-effective D."""
+        """sigma walks no eps schedule any more; its value is the limit of
+        the order LPs solved afresh on P_{D + eps*A}, for big and for merely
+        pseudo-effective D.  f(eps) = ord_Z(||D + eps*A||) is convex (an LP
+        value in its right-hand side) and non-increasing (sigma_Z(A) = 0 and
+        sigma is subadditive) on eps >= 0 with f(0) = sigma, so every fresh
+        sample lies at or below sigma, the samples rise as eps falls, every
+        chord meets eps = 0 at or below sigma, and the last chord meets it
+        at sigma exactly."""
         fan = builtin_fan(name)
         rng = random.Random(5)
         kinds = set()
@@ -375,26 +384,32 @@ class TestSigma:
                 continue
             kinds.add(cls.big)
             for sub in fan.invariant_subvarieties():
-                res = sigma(fan, d, sub)
-                assert len(res.samples) >= 4
-                assert res.samples == tuple(
-                    (eps, asymptotic_ord_toric(fan, d + fan.ample.scale(eps), sub))
-                    for eps, _ in res.samples)
+                value = sigma(fan, d, sub).value
+                samples = [(eps, asymptotic_ord_toric(fan, d + fan.ample.scale(eps), sub))
+                           for eps in (Fraction(1, 2 ** k) for k in range(1, 9))]
+                assert all(f <= value for _, f in samples)
+                assert all(f1 <= f2 for (_, f1), (_, f2) in zip(samples, samples[1:]))
+                intercepts = [f2 - (f2 - f1) / (e2 - e1) * e2
+                              for (e1, f1), (e2, f2) in zip(samples, samples[1:])]
+                assert all(c <= value for c in intercepts)
+                assert intercepts[-1] == value, (name, d, sub)
         assert True in kinds
 
-    #: divisors whose sigma samples kink inside the schedule, so the basis
-    #: line changes between two samples and a chord is fitted there
+    #: divisors whose perturbed orders ord_Z(||D + eps*A||) kink inside the
+    #: eps schedule of the chord oracle
     KINKED = (("f1", (Fraction(3, 4), 2, Fraction(1, 2), 3)),                # big
               ("f1", (Fraction(1, 4), Fraction(3, 2), Fraction(-7, 4), 2)),  # not big
               ("f2", (Fraction(-1, 4), 1, 2, 3)),                           # big
               ("f2", (0, Fraction(1, 12), 0, 0)))                           # not big
 
     def test_sigma_equals_the_eps_chord_oracle(self):
-        """Value, samples and evidence of sigma equal the oracle's, which
-        solves every sample by vertex enumeration and fits every chord, on
-        seeded rational divisors of every built-in fan, big and on the
-        boundary of the pseudo-effective cone, under the default caps and
-        under an epsilon_depth too small to stabilize."""
+        """sigma is the order LP on P_D, graded closed-form: it equals the
+        vertex-enumeration minimum on P_D plus the constant, and the limit
+        of the eps-chord oracle wherever that oracle stabilizes, on seeded
+        rational divisors of every built-in fan, big and on the boundary of
+        the pseudo-effective cone.  The oracle runs under the default caps
+        and under an epsilon_depth too small to stabilize; sigma takes no
+        caps, so its answer is the same under both."""
         drawn = []
         for name in FANS:
             fan = builtin_fan(name)
@@ -413,17 +428,24 @@ class TestSigma:
             if not cls.pseudo_effective:
                 continue
             kinds[name, cls.big] += 1
+            cons = fan.polytope_constraints(d)
             for sub in fan.invariant_subvarieties():
+                res = sigma(fan, d, sub)
+                assert res.evidence == "closed-form"
+                objective = [sum(fan.rays[i][k] for i in sub.rays) for k in range(fan.dim)]
+                low, _ = lp_min_by_vertices(objective, cons, fan.dim)
+                assert res.value == low + sum(d.coefficients[i] for i in sub.rays)
                 for caps in (Caps(), Caps(epsilon_depth=2)):
-                    res = sigma(fan, d, sub, caps=caps)
-                    assert (res.value, res.samples, res.evidence) == sigma_by_eps_chords(
+                    value, samples, evidence = sigma_by_eps_chords(
                         fan.rays, d.coefficients, fan.ample.coefficients, sub.rays,
-                        caps.window, caps.epsilon_depth), (name, d, sub, caps)
-                    evidences[res.evidence] += 1
+                        caps.window, caps.epsilon_depth)
+                    evidences[evidence] += 1
+                    if evidence == "window-stable":
+                        assert res.value == value, (name, d, sub, caps)
                     kinked[name] += any(
                         (f2 - f1) * (e3 - e2) != (f3 - f2) * (e2 - e1)
                         for (e1, f1), (e2, f2), (e3, f3)
-                        in zip(res.samples, res.samples[1:], res.samples[2:]))
+                        in zip(samples, samples[1:], samples[2:]))
         assert {(name, big) for name in FANS for big in (True, False)} <= set(kinds)
         assert kinked["f1"] and kinked["f2"]
         assert evidences["window-stable"] and evidences["cap-reached"]
@@ -469,17 +491,48 @@ class TestNonNef:
         with pytest.raises(DomainError, match="perturbation divisor must be ample"):
             non_nef_locus(builtin_fan("p2"), divisor(*coeffs), ample=divisor(0, 0, 0))
 
-    @pytest.mark.parametrize("caps", [Caps(window=11), Caps(epsilon_depth=2)],
+    @pytest.mark.parametrize("caps, certified", [(Caps(window=11), False),
+                                                 (Caps(epsilon_depth=2), True)],
                              ids=["window", "epsilon-depth"])
-    def test_capped_sigma_leaves_membership_to_the_other_methods(self, caps):
+    def test_capped_sigma_leaves_membership_to_the_other_methods(self, caps, certified):
+        """No cap reaches sigma, which keeps its value and its vote.
+        window=11 outlasts the stable-base-locus chain, so every record is
+        graded cap-reached; epsilon_depth bounds only tau_+, which a big D
+        does not run."""
         fan, ph, e = blowup_lab()
         rep = non_nef_locus(fan, ph + e, caps=caps)
-        assert rep.status == "pseudo-effective-not-nef" and not rep.certified
+        assert rep.status == "pseudo-effective-not-nef" and rep.certified is certified
         assert rep.members == non_nef_locus(fan, ph + e).members
-        assert rep.positive_sigma == ((E_SUB, None),)
+        assert rep.positive_sigma == ((E_SUB, 1),)
         for r in rep.cross_checks:
-            assert r.sigma_value is None and r.lp_member is None
-            assert r.tau_member == r.base_locus_member == (r.subvariety in rep.members)
+            assert r.evidence == ("window-stable" if certified else "cap-reached")
+            assert r.lp_member == r.tau_member == r.base_locus_member == \
+                (r.subvariety in rep.members)
+
+    def test_each_record_takes_its_weakest_grade(self, monkeypatch):
+        """A record is graded by sigma (closed-form), the tau grade of its
+        own chart and the stable-base-locus grid; the report is certified
+        when no record is cap-reached."""
+        fan, ph, e = blowup_lab()
+        capped = fan.max_cones[0]
+        tau_toric_, sbl_ = toric.tau_toric, toric.stable_base_locus
+
+        def capped_tau(fan_, d_, lam, cone, *args):
+            r = tau_toric_(fan_, d_, lam, cone, *args)
+            return replace(r, evidence="cap-reached") if cone == capped else r
+
+        monkeypatch.setattr(toric, "tau_toric", capped_tau)
+        rep = non_nef_locus(fan, ph + e)
+        assert not rep.certified
+        for r in rep.cross_checks:
+            on_capped = fan.chart_for(r.subvariety)[0] == capped
+            assert r.evidence == ("cap-reached" if on_capped else "window-stable")
+        monkeypatch.setattr(toric, "tau_toric", tau_toric_)
+        monkeypatch.setattr(toric, "stable_base_locus",
+                            lambda *args: replace(sbl_(*args), certified=False))
+        rep = non_nef_locus(fan, ph + e)
+        assert not rep.certified
+        assert {r.evidence for r in rep.cross_checks} == {"cap-reached"}
 
     def test_explicit_ample_matches_default(self):
         fan, ph, e = blowup_lab()
@@ -491,8 +544,8 @@ class TestNonNef:
         fan = builtin_fan(name)   # built first: fan validation runs an LP of its own
         del polytopes[:]
         non_nef_locus(fan, divisor(*coeffs))
-        # one for classifying D, and one tableau of P_{D + eps*A} walked by
-        # the order LPs of every subvariety down the whole eps schedule
+        # one for classifying D, and one of P_D for the order LPs of every
+        # subvariety
         assert len(polytopes) == 1 + 1
         del polytopes[:]
         non_nef_locus(fan, divisor(*coeffs), ample=fan.ample)
