@@ -46,10 +46,10 @@ from math import gcd, lcm
 from .caps import DEFAULT_CAPS, Caps
 from .errors import ContractError, DomainError, ResourceLimitError, require_int
 from .field import PrimeField
-from .ideal import (Ideal, ideal_contains, ideal_power, ideal_product,
-                    monomial_ideal, monomial_power_gens, unit_ideal)
+from .ideal import (Ideal, _antichain_ideal, ideal_contains, ideal_power,
+                    ideal_product, monomial_power_gens, unit_ideal)
 from .newton import monomial_tau_newton
-from .poly import Polynomial, min_antichain, mono_divides, mono_mul
+from .poly import Polynomial, min_antichain, mono_mul, monos_in_ideal
 
 EVIDENCE_CLOSED = "closed-form"
 EVIDENCE_WINDOW = "window-stable"
@@ -223,7 +223,7 @@ def _principal_monomial_closed_form(a: Ideal, lam: Fraction) -> TestIdealResult:
     while tuple((ceil_times(lam, q) * c) // q for c in v) != limit:
         e += 1
         q *= p
-    return TestIdealResult(monomial_ideal(a.ring, [limit]), e, EVIDENCE_CLOSED)
+    return TestIdealResult(_antichain_ideal(a.ring, frozenset([limit])), e, EVIDENCE_CLOSED)
 
 
 def stabilize(members, window: int, order, key=None):
@@ -270,17 +270,16 @@ def _monomial_chain(ring, pairs_with_lambda, caps: Caps) -> TestIdealResult:
         q *= p
         pairs = tuple((gens, ceil_times(lam, q)) for gens, lam in pairs_with_lambda)
         j = monomial_root_of_power(ring, pairs, e, p)
-        if prev is not None and not all(
-                any(mono_divides(w, v) for w in j) for v in prev):
+        if prev is not None and not monos_in_ideal(j, prev):
             raise ContractError(f"test-ideal chain failed to ascend at e={e}")
-        if not all(any(mono_divides(w, v) for w in target) for v in j):
+        if not monos_in_ideal(target, j):
             raise ContractError("chain member escaped the certified test ideal")
         if j != prev:
             first_e = e
         prev = j
         if j == target:
-            return TestIdealResult(monomial_ideal(ring, j), first_e, EVIDENCE_WINDOW)
-    return TestIdealResult(monomial_ideal(ring, j), first_e, EVIDENCE_CAP)
+            return TestIdealResult(_antichain_ideal(ring, j), first_e, EVIDENCE_WINDOW)
+    return TestIdealResult(_antichain_ideal(ring, j), first_e, EVIDENCE_CAP)
 
 
 def _general_chain(ring, ideals_with_lambda, caps: Caps) -> TestIdealResult:
@@ -345,8 +344,11 @@ def mixed_test_ideal(a: Ideal, lam, b: Ideal, mu, caps: Caps = DEFAULT_CAPS) -> 
 
 @dataclass(frozen=True)
 class Plateau:
-    start: Fraction   # tau is constant on [start, end); start 0 means (0, end)
-    end: Fraction     # the final plateau also includes its right endpoint
+    """tau equals `ideal` at every grid point in [start, end), the final
+    plateau's grid points including end; start 0 means (0, end).  Between
+    the last such grid point and end, tau may already have dropped."""
+    start: Fraction
+    end: Fraction
     ideal: Ideal
 
 
@@ -373,12 +375,17 @@ def _jump_grid(lam_max: Fraction, denom_bound: int) -> list:
 
 def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
                       caps: Caps = DEFAULT_CAPS) -> JumpReport:
-    """All jumping numbers in (0, lam_max] with denominator <= denom_bound.
+    """The points n/d of the candidate grid (0 < n/d <= lam_max,
+    d <= denom_bound) where tau differs from tau at the previous grid point,
+    tau(0+) = (1) standing before the first.
 
-    tau is non-increasing in the exponent and constant just to the right of
-    every point, so on the candidate grid a bisection is exact: equal ideals
-    at two grid points freeze the whole stretch between them.  The report is
-    exact relative to the denominator bound.
+    tau is non-increasing in the exponent, so equal ideals at two grid
+    points freeze the whole stretch between them and a bisection finds every
+    change on the grid.  A reported jump is a grid point, and at least one
+    jumping number lies in (previous grid point, reported point]; a jumping
+    number whose denominator is at most denom_bound is a grid point and is
+    reported as it is.  Constancy is checked on the grid only; see
+    `Plateau`.
     """
     lam_max = check_lambda(lam_max)
     if a.is_zero():

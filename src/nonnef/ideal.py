@@ -15,8 +15,8 @@ from functools import lru_cache
 from .caps import DEFAULT_CAPS
 from .errors import ContractError, DomainError, ResourceLimitError, require_int
 from .groebner import buchberger, normal_form
-from .poly import (Polynomial, Ring, grevlex_key, min_antichain,
-                   mono_divides, mono_mul, multiset_products)
+from .poly import (Polynomial, Ring, grevlex_key, min_antichain, mono_mul,
+                   monos_in_ideal, multiset_products)
 
 
 class Ideal:
@@ -33,26 +33,31 @@ class Ideal:
         for g in gens:
             if g.ring != ring:
                 raise ContractError("generator outside the ambient ring")
-        monomial = all(g.is_term() for g in gens)
         if any(g.is_constant() for g in gens):
-            gens = [Polynomial.one(ring)]
-            monomial = True
-        if monomial and gens:
-            monos = min_antichain(g.leading_monomial() for g in gens)
-            gens = [Polynomial.monomial(ring, m) for m in sorted(monos, key=grevlex_key)]
+            self._init_monomial(ring, frozenset([(0,) * ring.nvars]))
+        elif all(g.is_term() for g in gens):
+            self._init_monomial(ring, min_antichain(g.leading_monomial() for g in gens))
         else:
             seen, unique = set(), []
             for g in sorted((g.monic() for g in gens), key=lambda h: h.key()):
                 if g.key() not in seen:
                     seen.add(g.key())
                     unique.append(g)
-            gens = unique
+            self._init(ring, tuple(unique), None)
+
+    def _init(self, ring: Ring, generators: tuple, monos):
         self.ring = ring
-        self.generators = tuple(gens)
-        self.is_monomial = monomial
-        self._monos = frozenset(g.leading_monomial() for g in gens) if monomial else None
+        self.generators = generators
+        self.is_monomial = monos is not None
+        self._monos = monos
         self._gb = None
         self._gb_lock = threading.Lock()
+
+    def _init_monomial(self, ring: Ring, monos: frozenset):
+        """The monomial ideal with minimal generating exponent vectors
+        `monos`, each of length ring.nvars: one monic term per vector."""
+        self._init(ring, tuple(Polynomial._clean(ring, {m: 1})
+                               for m in sorted(monos, key=grevlex_key)), monos)
 
     # -- basic predicates ------------------------------------------------------
 
@@ -100,7 +105,18 @@ class Ideal:
 
 
 def monomial_ideal(ring: Ring, exponent_vectors) -> Ideal:
-    return Ideal(ring, [Polynomial.monomial(ring, tuple(v)) for v in exponent_vectors])
+    vectors = {tuple(v) for v in exponent_vectors}
+    if any(len(v) != ring.nvars for v in vectors):
+        raise ContractError("monomial length does not match variable count")
+    return _antichain_ideal(ring, min_antichain(vectors))
+
+
+def _antichain_ideal(ring: Ring, monos: frozenset) -> Ideal:
+    """The monomial ideal of an antichain of exponent vectors of length
+    ring.nvars, which are then its minimal generators."""
+    a = object.__new__(Ideal)
+    a._init_monomial(ring, monos)
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +142,7 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     if a.is_zero() or b.is_zero():
         return zero_ideal(a.ring)
     if a.is_monomial and b.is_monomial:
-        return monomial_ideal(a.ring, min_antichain(
+        return _antichain_ideal(a.ring, min_antichain(
             mono_mul(m1, m2) for m1 in a.monomials for m2 in b.monomials))
     return Ideal(a.ring, [f * g for f in a.generators for g in b.generators])
 
@@ -157,7 +173,7 @@ def ideal_power(a: Ideal, n: int, caps=DEFAULT_CAPS) -> Ideal:
     if a.is_unit():
         return unit_ideal(a.ring)
     if a.is_monomial:
-        return monomial_ideal(a.ring, monomial_power_gens(a.monomials, n))
+        return _antichain_ideal(a.ring, monomial_power_gens(a.monomials, n))
     max_deg = max(g.total_degree() for g in a.generators)
     if n * max_deg > caps.power_degree_cap:
         raise ResourceLimitError(
@@ -170,7 +186,7 @@ def ideal_power(a: Ideal, n: int, caps=DEFAULT_CAPS) -> Ideal:
 def poly_in_monomial_ideal(f: Polynomial, a: Ideal) -> bool:
     """Membership in a monomial ideal: every term must be divisible by some
     generator."""
-    return all(any(mono_divides(g, m) for g in a.monomials) for m in f.terms)
+    return monos_in_ideal(a.monomials, f.terms)
 
 
 def ideal_contains(a: Ideal, b: Ideal, caps=DEFAULT_CAPS) -> bool:

@@ -25,10 +25,10 @@ scanned by recursion on the first coordinate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import ContractError
 from .poly import min_antichain
@@ -66,7 +66,9 @@ def _orthogonal_normal(vectors, n):
 @lru_cache(maxsize=None)
 def _candidate_normals(gens_tuple: tuple, n: int):
     """Nonnegative primitive candidate facet normals for the Minkowski sum
-    of the Newton polyhedra of the given monomial generator families."""
+    of the Newton polyhedra of the given monomial generator families, each
+    as (h, |h|_1, (min_{v in V_i} <h, v> for each family i)).  None of these
+    depends on the exponents, so one entry serves every lambda."""
     pool = [tuple(e) for e in _unit_vectors(n)]
     for gens in gens_tuple:
         gens = list(gens)
@@ -84,7 +86,9 @@ def _candidate_normals(gens_tuple: tuple, n: int):
             h = tuple(-c for c in h)
         if all(c >= 0 for c in h) and any(h):
             normals.add(h)
-    return tuple(sorted(normals))
+    return tuple((h, sum(h), tuple(min(sum(map(mul, h, v)) for v in gens)
+                                   for gens in gens_tuple))
+                 for h in sorted(normals))
 
 
 def _unit_vectors(n: int):
@@ -95,15 +99,14 @@ def monomial_tau_newton(n: int, pairs_with_lambda) -> frozenset:
     """Minimal generators of tau(prod_i a_i^{lambda_i}) for monomial ideals
     a_i given as tuples of exponent vectors, lambda_i exact rationals."""
     gens_tuple = tuple(tuple(sorted(g)) for g, _ in pairs_with_lambda)
-    lambdas = [Fraction(l) for _, l in pairs_with_lambda]
-    normals = _candidate_normals(gens_tuple, n)
+    # rhs = sum_i l_i * min_i - |h| = sum_i num_i * min_i / den - |h| over
+    # the common denominator den of the l_i
+    den = lcm(*(l.denominator for _, l in pairs_with_lambda))
+    nums = [l.numerator * (den // l.denominator) for _, l in pairs_with_lambda]
     constraints = []
-    for h in normals:
-        rhs = -Fraction(sum(h))
-        for gens, lam in zip(gens_tuple, lambdas):
-            rhs += lam * min(sum(a * b for a, b in zip(h, v)) for v in gens)
+    for h, size, mins in _candidate_normals(gens_tuple, n):
         # <h, u> > rhs  with integer left side: <h, u> >= floor(rhs) + 1
-        bound = rhs.numerator // rhs.denominator + 1
+        bound = sum(map(mul, nums, mins)) // den - size + 1
         if bound > 0:
             constraints.append((h, bound))
     return _staircase(constraints, n)

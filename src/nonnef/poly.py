@@ -67,6 +67,18 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
+def monos_in_ideal(gens, monomials) -> bool:
+    """True if every x^v, v in `monomials`, is divisible by some x^w, w in
+    `gens`: the monomial ideal that `gens` generate contains them all."""
+    for v in monomials:
+        for w in gens:
+            if all(map(le, w, v)):
+                break
+        else:
+            return False
+    return True
+
+
 def mono_div(b: Monomial, a: Monomial) -> Monomial:
     """Exponent vector of x^b / x^a; caller guarantees divisibility."""
     return tuple(y - x for x, y in zip(a, b))
@@ -89,10 +101,12 @@ def min_antichain(monomials) -> frozenset:
     """
     # total degree is a linear extension of divisibility: every proper
     # divisor of m is seen before m
-    ordered = sorted(set(monomials), key=sum)
     kept: list = []
-    for m in ordered:
-        if not any(mono_divides(k, m) for k in kept):
+    for m in sorted(set(monomials), key=sum):
+        for k in kept:
+            if all(map(le, k, m)):
+                break
+        else:
             kept.append(m)
     return frozenset(kept)
 

@@ -7,9 +7,24 @@ no code with them.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import floor
+from operator import le
 
 from nonnef.ideal import Ideal, monomial_ideal
-from nonnef.poly import Polynomial, min_antichain
+from nonnef.newton import _candidate_normals
+from nonnef.poly import Polynomial
+
+
+def minimal_by_degree(vectors):
+    """Minimal elements of a set of exponent vectors under componentwise
+    <=: scanned in ascending total degree, a vector is kept unless some
+    vector kept before it lies below it."""
+    kept = []
+    for m in sorted(set(vectors), key=sum):
+        if not any(all(map(le, k, m)) for k in kept):
+            kept.append(m)
+    return frozenset(kept)
 
 
 def _compositions(total, parts):
@@ -40,7 +55,7 @@ def naive_monomial_power_root(gens, n, q):
     every n-fold multiset exponent sum and floor-dividing."""
     if n == 0:
         return frozenset([(0,) * len(next(iter(gens)))])
-    return min_antichain(tuple(c // q for c in s) for s in _power_sums(gens, n))
+    return minimal_by_degree(tuple(c // q for c in s) for s in _power_sums(gens, n))
 
 
 def naive_product_power_root(pairs, q):
@@ -50,7 +65,34 @@ def naive_product_power_root(pairs, q):
     for gens, n in pairs:
         layer = set(_power_sums(gens, n)) if n else {(0,) * nvars}
         sums = {tuple(a + b for a, b in zip(s, t)) for s in sums for t in layer}
-    return min_antichain(tuple(c // q for c in s) for s in sums)
+    return minimal_by_degree(tuple(c // q for c in s) for s in sums)
+
+
+def newton_tau_by_fractions(n, pairs_with_lambda):
+    """Minimal generators of tau(prod_i a_i^{l_i}) for monomial ideals a_i
+    given as tuples of exponent vectors: x^u is in it when
+    <h, u> > sum_i l_i * min_{v in V_i} <h, v> - |h|_1 for every candidate
+    normal h of `newton._candidate_normals`, the right-hand side summed in
+    Fractions.  The lattice points are enumerated in a box: a minimal u has
+    u_j <= ceil(b / h_j) for some inequality <h, u> >= b with h_j > 0, or
+    u - e_j would satisfy them all too.  A feasible u is minimal when no
+    u - e_j is feasible, the set being upward closed.  This checks the
+    bound arithmetic and the staircase, not the choice of normals."""
+    gens_tuple = tuple(tuple(sorted(g)) for g, _ in pairs_with_lambda)
+    constraints = []
+    for h, *_ in _candidate_normals(gens_tuple, n):
+        rhs = -Fraction(sum(h))
+        for gens, (_, lam) in zip(gens_tuple, pairs_with_lambda):
+            rhs += Fraction(lam) * min(sum(a * b for a, b in zip(h, v)) for v in gens)
+        constraints.append((h, floor(rhs) + 1))
+
+    def feasible(u):
+        return all(sum(a * b for a, b in zip(h, u)) >= bound for h, bound in constraints)
+
+    box = [range(max([0] + [-(-bound // h[j]) for h, bound in constraints if h[j]]) + 1)
+           for j in range(n)]
+    return frozenset(u for u in product(*box) if feasible(u) and not any(
+        u[j] and feasible(u[:j] + (u[j] - 1,) + u[j + 1:]) for j in range(n)))
 
 
 def multiset_power(amb, gens, n) -> Ideal:

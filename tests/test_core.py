@@ -16,11 +16,11 @@ from nonnef.asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_o
 from nonnef.caps import DEFAULT_CAPS, Caps
 from nonnef.frobenius import test_ideal as tau
 from nonnef.groebner import buchberger
-from nonnef.poly import Polynomial, grevlex_key, min_antichain
+from nonnef.poly import Polynomial, grevlex_key
 from nonnef.toric import (InvariantSubvariety, ToricDivisor, asymptotic_ord_toric,
                           base_locus_ord, builtin_fan, chart_ideal, non_nef_locus)
 from nonnef.verify import run_suite
-from oracles import multiset_power
+from oracles import minimal_elements, multiset_power
 
 CAP_FIELDS = sorted(f.name for f in fields(Caps))
 
@@ -142,7 +142,7 @@ class TestIdealPower:
             if a.is_zero():
                 continue
             n = rng.randrange(0, 5)
-            naive = min_antichain(
+            naive = minimal_elements(
                 tuple(map(sum, zip(*c))) if c else (0, 0)
                 for c in __import__("itertools").combinations_with_replacement(sorted(a.monomials), n))
             assert ideal_power(a, n).monomials == (naive if n else frozenset([(0, 0)]))

@@ -19,9 +19,11 @@ from nonnef.field import PrimeField
 from nonnef.frobenius import (_JUMP_GRID_CAP, _jump_grid, _root_memo, ceil_times,
                               check_lambda, monomial_root_of_power, stabilize)
 from nonnef.frobenius import test_ideal as tau
+from nonnef.newton import _candidate_normals, monomial_tau_newton
 from nonnef.verify import random_monomial_ideal
 from oracles import (jump_grid_by_fractions, naive_monomial_power_root,
-                     iterated_p_root, naive_product_power_root, naive_test_ideal_chain)
+                     iterated_p_root, naive_product_power_root, naive_test_ideal_chain,
+                     newton_tau_by_fractions)
 
 R2 = ring(2, "x", "y")
 R3 = ring(3, "x", "y")
@@ -470,6 +472,28 @@ class TestJumpingNumbers:
                 continue
             assert tau(a, mid).ideal == pl.ideal
 
+    def test_reported_jump_is_the_first_grid_point_past_the_true_one(self):
+        # the jumping number of (x^2, y^3) is 5/6, which is not on the grid
+        # of denominators <= 4: the report names the next grid point, 1, and
+        # only the grid points are checked to be constant
+        a = I("p=2; vars=x,y; gens=[x^2, y^3]")
+        rep = f_jumping_numbers(a, 1, 4)
+        assert rep.jumps == (1,) and rep.certified
+        maximal = I("p=2; vars=x,y; gens=[x, y]")
+        assert [pl.ideal for pl in rep.plateaus] == [unit_ideal(R2), maximal]
+        grid = [Fraction(n, d) for n, d in _jump_grid(Fraction(1), 4)]
+        assert grid[-2:] == [Fraction(3, 4), 1]
+        # the true jump lies in (previous grid point, reported point]
+        assert tau(a, Fraction(3, 4)).ideal == unit_ideal(R2)
+        assert tau(a, Fraction(9, 10)).ideal == maximal
+        assert tau(a, Fraction(5, 6)).ideal == maximal
+        assert tau(a, Fraction(4, 5)).ideal == unit_ideal(R2)
+        # each plateau's ideal is tau at every grid point it covers
+        for pl in rep.plateaus:
+            for lam in grid:
+                if pl.start <= lam < pl.end or (pl is rep.plateaus[-1] and lam == pl.end):
+                    assert tau(a, lam).ideal == pl.ideal
+
     def test_plateau_ideals_strictly_decrease(self):
         rep = f_jumping_numbers(I("p=3; vars=x,y; gens=[x^2, y^2]"), 3, 6)
         for prev, nxt in zip(rep.plateaus, rep.plateaus[1:]):
@@ -572,6 +596,53 @@ class TestOrthogonalNormal:
     def test_dependent_vectors_give_none(self):
         from nonnef.newton import _orthogonal_normal
         assert _orthogonal_normal([(1, 2, 0, 1), (2, 4, 0, 2), (0, 0, 1, 0)], 4) is None
+
+
+class TestIntegerNewtonBound:
+    """monomial_tau_newton sums the facet bounds in integers over the
+    common denominator of the exponents; the oracle sums them in Fractions."""
+
+    LAMBDAS = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3),
+               Fraction(5, 4), Fraction(7, 5), Fraction(5, 6))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("families", [1, 2])
+    def test_matches_fraction_bounds(self, n, families):
+        rng = random.Random(1900 + 10 * n + families)
+        for _ in range(15):
+            pairs = tuple(
+                (tuple(sorted({tuple(rng.randrange(4) for _ in range(n))
+                               for _ in range(rng.randrange(1, 4))})),
+                 rng.choice(self.LAMBDAS))
+                for _ in range(families))
+            assert monomial_tau_newton(n, pairs) == newton_tau_by_fractions(n, pairs), pairs
+
+    def test_two_families_with_different_denominators(self):
+        gens_a, gens_b = ((2, 0, 1), (0, 3, 0)), ((1, 1, 0), (0, 0, 2))
+        for lam, mu in [(Fraction(1, 2), Fraction(2, 3)), (Fraction(3, 4), Fraction(6, 5)),
+                        (Fraction(0), Fraction(5, 3)), (Fraction(7, 6), 0)]:
+            pairs = ((gens_a, lam), (gens_b, mu))
+            assert monomial_tau_newton(3, pairs) == newton_tau_by_fractions(3, pairs)
+
+    def test_integer_right_hand_side_is_floor_plus_one(self):
+        # (x^2, y^3) has the facet 3u + 2v >= 6; at lam = 5/6 and lam = 1
+        # the right-hand side 6 lam - 5 is the integer 0 or 1, so the
+        # strict inequality needs 3a + 2b >= 1 or 2: the ideal (x, y)
+        pairs = lambda lam: ((((2, 0), (0, 3)), lam),)
+        maximal = frozenset([(1, 0), (0, 1)])
+        for lam in (Fraction(5, 6), 1):
+            assert monomial_tau_newton(2, pairs(lam)) == maximal
+            assert newton_tau_by_fractions(2, pairs(lam)) == maximal
+        assert monomial_tau_newton(2, pairs(Fraction(4, 5))) == frozenset([(0, 0)])
+        assert monomial_tau_newton(2, pairs(0)) == frozenset([(0, 0)])
+
+    def test_second_lambda_on_a_family_is_a_cache_hit(self):
+        pairs = lambda lam: ((((0, 2, 5), (3, 1, 0)), lam),)
+        monomial_tau_newton(3, pairs(Fraction(1, 3)))
+        before = _candidate_normals.cache_info()
+        monomial_tau_newton(3, pairs(Fraction(7, 4)))
+        after = _candidate_normals.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestMixedNewtonCertificate:
