@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 from .asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_test_ideal, ord_along
 from .caps import DEFAULT_CAPS, Caps
@@ -141,8 +141,7 @@ class Fan:
         if res.status != OPTIMAL:
             raise DomainError("completeness or projectivity failure: the cones "
                               "overlap, or no strictly convex support function exists")
-        point = ToricDivisor(res.point)
-        d = point.scale(point.denominator)
+        d = ToricDivisor(ToricDivisor(res.point).numerators)
         if not _wall_test(self, d)[1]:
             raise ContractError("projectivity witness failed the ample check")
         return d
@@ -192,9 +191,9 @@ class Fan:
 
     def sequence(self, d: "ToricDivisor", cone, p: int) -> "GradedSequence":
         """The graded sequence m -> base-locus ideal of |mD| on the chart,
-        zero at levels where mD is not integral.  Memoized by the divisor,
-        whose hash is computed once, so repeated tau evaluations on the same
-        divisor share every computed term."""
+        zero at levels where mD is not integral.  Memoized by the divisor's
+        value, so repeated tau evaluations on equal divisors, however each
+        was built, share every computed term."""
         cone = tuple(sorted(cone))
         key = (d, cone, p)
         if key not in self._sequences:
@@ -210,8 +209,10 @@ class Fan:
         return self._sequences[key]
 
     def polytope_constraints(self, divisor):
-        """P_D as rows for the LP layer: <u, v_i> >= -d_i."""
-        return [(v, -c) for v, c in zip(self.rays, divisor.coefficients)]
+        """P_D as integer rows for the LP layer: <u, v_i> >= -d_i, each
+        multiplied by the divisor's denominator r, so (r*v_i, -r*d_i)."""
+        r = divisor.denominator
+        return [(tuple(r * a for a in v), -c) for v, c in zip(self.rays, divisor.numerators)]
 
     def __repr__(self):
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, cones={len(self.max_cones)})"
@@ -219,55 +220,47 @@ class Fan:
 
 @dataclass(frozen=True)
 class ToricDivisor:
-    """A torus-invariant Q-divisor sum_i d_i D_i, one coefficient per ray.
+    """A torus-invariant Q-divisor sum_i d_i D_i, one coefficient per ray,
+    stored as integer `numerators` over one positive `denominator` in
+    lowest terms: d_i = numerators[i] / denominator, and the denominator is
+    the least common denominator of the d_i.  Equal divisors therefore have
+    equal fields, so the field equality and hash are the right ones.
 
-    The constructor accepts ints (not bools) and Fractions and stores
-    Fractions; `scale` and `+` build their results from Fractions already
-    checked, so only the constructor validates."""
+    `ToricDivisor(coefficients)` takes ints (not bools) and Fractions; the
+    optional denominator divides every coefficient by a positive int."""
 
-    coefficients: tuple
+    numerators: tuple
+    denominator: int = 1
 
     def __post_init__(self):
-        coefficients = tuple(self.coefficients)
-        for c in coefficients:
+        values = tuple(self.numerators)
+        for c in values:
             if type(c) not in (int, Fraction):
                 raise DomainError(f"divisor coefficients must be exact rationals, got {c!r}")
-        object.__setattr__(self, "coefficients", tuple(map(Fraction, coefficients)))
+        den = lcm(*(c.denominator for c in values))
+        nums = [c.numerator * (den // c.denominator) for c in values]
+        den *= require_int(self.denominator, "divisor denominator")
+        g = gcd(den, *nums)
+        object.__setattr__(self, "numerators", tuple(v // g for v in nums))
+        object.__setattr__(self, "denominator", den // g)
 
-    @classmethod
-    def _exact(cls, coefficients: tuple) -> "ToricDivisor":
-        """The divisor of a tuple of Fractions, without the input check."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "coefficients", coefficients)
-        return d
+    @property
+    def coefficients(self) -> tuple:
+        return tuple(Fraction(v, self.denominator) for v in self.numerators)
 
     def scale(self, k) -> "ToricDivisor":
         if type(k) not in (int, Fraction):
             raise DomainError(f"divisor scale factor must be an exact rational, got {k!r}")
-        return ToricDivisor._exact(tuple(k * c for c in self.coefficients))
+        return ToricDivisor(tuple(k.numerator * v for v in self.numerators),
+                            k.denominator * self.denominator)
 
     def __add__(self, other) -> "ToricDivisor":
-        return ToricDivisor._exact(tuple(a + b for a, b in zip(self.coefficients,
-                                                               other.coefficients)))
-
-    def __hash__(self):
-        # memoized: `Fan.sequence` looks the divisor up on every tau
-        # evaluation, and each Fraction coefficient hashes slowly
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.coefficients)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def is_integral_at(self, level: int) -> bool:
-        return all(level % c.denominator == 0 for c in self.coefficients)
-
-    @property
-    def denominator(self) -> int:
-        d = 1
-        for c in self.coefficients:
-            d = d * c.denominator // gcd(d, c.denominator)
-        return d
+        if len(self.numerators) != len(other.numerators):
+            raise DomainError(f"cannot add divisors of {len(self.numerators)} and "
+                              f"{len(other.numerators)} coefficients")
+        r, s = self.denominator, other.denominator
+        return ToricDivisor(tuple(a * s + b * r for a, b in zip(self.numerators,
+                                                                other.numerators)), r * s)
 
     def __repr__(self):
         from .parsing import format_rational
@@ -362,21 +355,22 @@ class Classification:
 
 
 def _check_length(fan: Fan, d: ToricDivisor):
-    if len(d.coefficients) != len(fan.rays):
-        raise DomainError(f"divisor {d} has {len(d.coefficients)} coefficients, "
+    if len(d.numerators) != len(fan.rays):
+        raise DomainError(f"divisor {d} has {len(d.numerators)} coefficients, "
                           f"but the fan has {len(fan.rays)} rays")
 
 
 def _wall_test(fan: Fan, d: ToricDivisor):
     """(nef, ample) from the walls: D is nef when the slack
     d_j - c_j . d_sigma of every wall of every chart is >= 0, ample when
-    every slack is > 0.  No LP."""
+    every slack is > 0.  No LP; the slacks are taken over the numerators,
+    which leaves their signs as they are."""
     _check_length(fan, d)
-    coeffs = d.coefficients
+    nums = d.numerators
     ample = True
     for cone in fan.max_cones:
         for j, c in fan.walls(cone):
-            slack = coeffs[j] - sum(ck * coeffs[i] for ck, i in zip(c, cone))
+            slack = nums[j] - sum(ck * nums[i] for ck, i in zip(c, cone))
             if slack < 0:
                 return False, False
             if slack == 0:
@@ -500,9 +494,9 @@ def _chart_system(fan: Fan, d: ToricDivisor, level: int, cone):
     lattice points map to lattice points.  Each wall (j, c_j) of the cone
     gives the row w_j = c_j . w - level*(c_j . d_sigma - d_j) >= 0."""
     _check_length(fan, d)
-    if not d.is_integral_at(level):
+    if level % d.denominator:
         raise DomainError(f"{level}*D is not an integral divisor")
-    ld = [c.numerator * (level // c.denominator) for c in d.coefficients]
+    ld = [v * (level // d.denominator) for v in d.numerators]
     n = fan.dim
     return ([(c, sum(ck * ld[i] for ck, i in zip(c, cone)) - ld[j])
              for j, c in fan.walls(cone)]
@@ -554,7 +548,7 @@ def _order_lp(fan: Fan, section: Polytope, d: ToricDivisor,
         raise DomainError("no pluri-sections: the section polytope is empty")
     if res.status != OPTIMAL:
         raise ContractError("order LP cannot be unbounded on a complete fan")
-    return res.value + sum(d.coefficients[i] for i in sub.rays)
+    return res.value + Fraction(sum(d.numerators[i] for i in sub.rays), d.denominator)
 
 
 @dataclass(frozen=True)
@@ -569,11 +563,15 @@ def sigma(fan: Fan, d: ToricDivisor, sub: InvariantSubvariety) -> SigmaResult:
     On a complete toric variety the limit is the order LP on P_D itself:
     the LP value is a polyhedral convex function of the right-hand side,
     so it is continuous on its closed domain, and pseudo-effective is
-    effective, so P_D is nonempty.  Neither A nor any cap enters."""
-    if not classify_divisor(fan, d).pseudo_effective:
+    effective, so D is pseudo-effective exactly when P_D is nonempty.
+    Neither A nor any cap enters; P_D is built once."""
+    _check_length(fan, d)
+    section = Polytope(fan.polytope_constraints(d), fan.dim)
+    if not section.feasible:
         raise DomainError("sigma is undefined: divisor is not pseudo-effective "
                           "(the non-nef locus is everything)")
-    return SigmaResult(asymptotic_ord_toric(fan, d, sub), EVIDENCE_CLOSED)
+    fan.chart_for(sub)     # DomainError unless the rays of Z span a cone
+    return SigmaResult(_order_lp(fan, section, d, sub), EVIDENCE_CLOSED)
 
 
 def _perturbation(fan: Fan, ample) -> ToricDivisor:
@@ -589,21 +587,6 @@ def _perturbation(fan: Fan, ample) -> ToricDivisor:
 def _eps_schedule(depth: int):
     """eps = 1/2, 1/4, ..., 1/2^depth: the schedule of tau_+."""
     return (Fraction(1, 2 ** k) for k in range(1, depth + 1))
-
-
-class _Perturbations:
-    """The divisors D + eps*A of one D and one checked ample A, each built
-    once per eps, so the tau_+ chains and the stable-base-locus grid of one
-    D share them."""
-
-    def __init__(self, fan: Fan, d: ToricDivisor, a: ToricDivisor):
-        self.fan, self.d, self.a = fan, d, a
-        self._divisors: dict = {}
-
-    def divisor(self, eps) -> ToricDivisor:
-        if eps not in self._divisors:
-            self._divisors[eps] = self.d + self.a.scale(eps)
-        return self._divisors[eps]
 
 
 # -- stable base loci ----------------------------------------------------------------
@@ -686,18 +669,17 @@ def tau_plus_toric(fan: Fan, d: ToricDivisor, lam, cone,
     lam = check_lambda(lam)
     if not classify_divisor(fan, d).pseudo_effective:
         raise DomainError("tau_+ needs a pseudo-effective divisor")
-    return _tau_plus(_Perturbations(fan, d, _perturbation(fan, ample)), lam, cone, p, caps)
+    return _tau_plus(fan, d, _perturbation(fan, ample), lam, cone, p, caps)
 
 
-def _tau_plus(perturbations: _Perturbations, lam, cone, p: int,
+def _tau_plus(fan: Fan, d: ToricDivisor, a: ToricDivisor, lam, cone, p: int,
               caps: Caps) -> TestIdealResult:
     """tau_plus_toric for a pseudo-effective D and a checked ample A."""
-    fan = perturbations.fan
     evidences = []
 
     def members():
         for k, eps in enumerate(_eps_schedule(caps.epsilon_depth), 1):
-            perturbed = perturbations.divisor(eps)
+            perturbed = d + a.scale(eps)
             # past the first eps, a perturbation with no nonzero term up to
             # m_cap ends the schedule; the first one raises in tau_toric
             if k > 1 and fan.sequence(perturbed, cone, p).first_nonzero(caps.m_cap) is None:
@@ -773,7 +755,7 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
                           f"Fractions, got {grid!r}")
     grid = sorted(grid, reverse=True)
     PrimeField(p)  # validates p before D is classified
-    perturbations = _Perturbations(fan, d, _perturbation(fan, ample))
+    a = _perturbation(fan, ample)
     cls = classify_divisor(fan, d)
     if not cls.pseudo_effective:
         return NonNefReport(d, "not-pseudo-effective", (), (), (), True)
@@ -782,14 +764,14 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
     # method 2 once per chart, at the single level tau_level_cap
     charts = sorted({fan.chart_for(s)[0] for s in subs})
     tau_by_chart = {cone: (tau_toric(fan, d, tau_level_cap, cone, p, caps) if cls.big
-                           else _tau_plus(perturbations, tau_level_cap, cone, p, caps))
+                           else _tau_plus(fan, d, a, tau_level_cap, cone, p, caps))
                     for cone in charts}
 
     # method 3 once per eps
     sbl_members = {}
     sbl_evidence = EVIDENCE_WINDOW
     for eps in grid:
-        rep = stable_base_locus(fan, perturbations.divisor(eps), caps)
+        rep = stable_base_locus(fan, d + a.scale(eps), caps)
         if not rep.certified:
             sbl_evidence = EVIDENCE_CAP
         sbl_members[eps] = set(rep.members)

@@ -11,6 +11,7 @@ import importlib
 import runpy
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -46,14 +47,51 @@ def test_builtin_fan_carries_the_sequence_memo():
     assert len(fan._sequences) >= 1
 
 
-def test_jumps_monomial_activity_rows_hold_on_a_small_call(monkeypatch):
-    """Every function behind a "nonzero" row of the jumps-monomial activity
-    table is called by one small f_jumping_numbers, and none behind a
-    "zero" row, so a kernel that stops going through a traced name fails
-    here and not only in a traced bench run.  As in the tracer, every
-    binding of a target in a nonnef module or class is rebound."""
+def _toric_sweep_call():
+    # a big divisor of f1 that is not nef: E lies in its non-nef locus.  The
+    # fan is built here, before any wrapper is installed, so neither its
+    # ample-witness LP nor a memoized chart ideal stands in for the call's.
+    toric = importlib.import_module("nonnef.toric")
+    f1 = toric.builtin_fan("f1")
+    fan = toric.Fan(f1.rays, f1.max_cones)
+
+    def call():
+        report = toric.non_nef_locus(fan, toric.divisor(0, 0, 2, 1))
+        assert report.status == "pseudo-effective-not-nef"
+    return call
+
+
+def _jumps_monomial_call():
+    def call():
+        a = importlib.import_module("nonnef.parsing").parse_ideal(
+            "p=3; vars=x,y; gens=[x^3, x*y, y^4]")
+        importlib.import_module("nonnef.frobenius").f_jumping_numbers(a, 2, 5)
+    return call
+
+
+def _tau_general_call():
+    def call():
+        a = importlib.import_module("nonnef.parsing").parse_ideal(
+            "p=2; vars=x,y; gens=[x^2 + y^3, x*y + y^2]")
+        importlib.import_module("nonnef.frobenius").test_ideal(a, Fraction(3, 4))
+    return call
+
+
+#: per workload, a setup that returns one small call of the workload's kind
+SMALL_CALLS = {"toric-sweep": _toric_sweep_call, "jumps-monomial": _jumps_monomial_call,
+               "tau-general": _tau_general_call}
+
+
+@pytest.mark.parametrize("workload", sorted(SMALL_CALLS))
+def test_activity_rows_hold_on_a_small_call(workload, monkeypatch):
+    """Every function behind a "nonzero" row of the workload's activity
+    table is called by one small call of the workload's kind, and none
+    behind a "zero" row, so a kernel that stops going through a traced
+    name fails here and not only in a traced bench run.  As in the tracer,
+    every binding of a target in a nonnef module or class is rebound."""
     spec = runpy.run_path(str(TRACING))
-    activity = spec["ACTIVITY"]["jumps-monomial"]
+    assert sorted(spec["ACTIVITY"]) == sorted(SMALL_CALLS)
+    activity = spec["ACTIVITY"][workload]
 
     def targets(metric):
         if metric in spec["COUNTED"]:
@@ -61,7 +99,7 @@ def test_jumps_monomial_activity_rows_hold_on_a_small_call(monkeypatch):
         assert metric.endswith(".calls"), metric
         return (metric[:-len(".calls")],)
 
-    frobenius = importlib.import_module("nonnef.frobenius")
+    call = SMALL_CALLS[workload]()
     counts = Counter()
     originals = {}
     for metric in activity["nonzero"] + activity["zero"]:
@@ -88,9 +126,8 @@ def test_jumps_monomial_activity_rows_hold_on_a_small_call(monkeypatch):
             if id(value) in originals and originals[id(value)][0] is value:
                 monkeypatch.setattr(holder, attr, wrappers[id(value)])
 
-    a = importlib.import_module("nonnef.parsing").parse_ideal(
-        "p=3; vars=x,y; gens=[x^3, x*y, y^4]")
-    frobenius.f_jumping_numbers(a, 2, 5)
+    call()
     assert [m for m in activity["nonzero"] if not counts[m]] == []
     assert [m for m in activity["zero"] if counts[m]] == []
-    assert "frobenius.frobenius_root.calls" in activity["zero"]
+    if workload == "jumps-monomial":
+        assert "frobenius.frobenius_root.calls" in activity["zero"]

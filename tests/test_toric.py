@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 
 import pytest
 
@@ -134,15 +134,75 @@ class TestMemos:
         assert fan.sequence(divisor(0, 0, 2, 1), (0, 3), 3) is not seq
         assert fan.sequence(divisor(0, 0, 2, 2), (0, 3), 2) is not seq
 
-    def test_divisor_coefficients_are_hashed_once(self, monkeypatch):
-        d = divisor(Fraction(1, 2), 3, Fraction(-2, 3))
-        h = hash(d)
-        hashed = []
-        fraction_hash = Fraction.__hash__
-        monkeypatch.setattr(Fraction, "__hash__",
-                            lambda c: hashed.append(c) or fraction_hash(c))
-        assert hash(d) == h and hashed == []
-        assert hash(divisor(Fraction(1, 2), 3, Fraction(-2, 3))) == h and len(hashed) == 3
+    #: (id, two routes to one divisor, its coefficients, its repr)
+    ROUTES = [
+        ("ints", lambda: divisor(2, 0, -4), lambda: divisor(Fraction(4, 2), 0, Fraction(-8, 2)),
+         (2, 0, -4), "(2,0,-4)"),
+        ("fractions", lambda: divisor(Fraction(1, 2), 3, Fraction(-2, 3)),
+         lambda: ToricDivisor((Fraction(3, 6), Fraction(9, 3), Fraction(-4, 6))),
+         (Fraction(1, 2), 3, Fraction(-2, 3)), "(1/2,3,-2/3)"),
+        ("scale", lambda: divisor(1, 2, 3).scale(Fraction(1, 4)),
+         lambda: divisor(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
+         (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), "(1/4,1/2,3/4)"),
+        ("scale-to-integral", lambda: divisor(Fraction(1, 2), Fraction(3, 2), 0).scale(2),
+         lambda: divisor(1, 3, 0), (1, 3, 0), "(1,3,0)"),
+        ("scale-by-zero", lambda: divisor(Fraction(1, 2), 7, 0).scale(0),
+         lambda: divisor(0, 0, 0), (0, 0, 0), "(0,0,0)"),
+        ("add", lambda: divisor(Fraction(1, 2), 0, Fraction(1, 3)) + divisor(Fraction(1, 2), 1,
+                                                                            Fraction(2, 3)),
+         lambda: divisor(1, 1, 1), (1, 1, 1), "(1,1,1)"),
+        ("perturbation", lambda: divisor(0, 0, 2, 1) + divisor(0, 0, 2, -1).scale(Fraction(1, 8)),
+         lambda: (divisor(0, 0, 2, 1).scale(Fraction(1, 2)) + divisor(0, 0, 1, Fraction(1, 2))
+                  + divisor(0, 0, 2, -1).scale(Fraction(1, 8))),
+         (0, 0, Fraction(9, 4), Fraction(7, 8)), "(0,0,9/4,7/8)"),
+    ]
+
+    @pytest.mark.parametrize("first, second, coefficients, text",
+                             [r[1:] for r in ROUTES], ids=[r[0] for r in ROUTES])
+    def test_divisor_is_its_value_over_one_denominator(self, first, second, coefficients,
+                                                       text):
+        d, e = first(), second()
+        assert d == e and hash(d) == hash(e)
+        for x in (d, e):
+            assert all(type(v) is int for v in x.numerators)
+            assert type(x.denominator) is int and x.denominator > 0
+            assert gcd(x.denominator, *x.numerators) == 1
+            assert x.denominator == lcm(*(Fraction(c).denominator for c in coefficients))
+            assert x.coefficients == coefficients
+            assert all(type(c) is Fraction for c in x.coefficients)
+            assert repr(x) == text
+
+    def test_adding_divisors_of_different_lengths_raises(self):
+        with pytest.raises(DomainError, match="3 and 2 coefficients"):
+            divisor(1, 0, 0) + divisor(1, 0)
+
+    @pytest.mark.parametrize("den", [0, -2, Fraction(1, 2), True])
+    def test_divisor_denominator_must_be_a_positive_integer(self, den):
+        with pytest.raises(DomainError, match="^divisor denominator must be a positive integer"):
+            ToricDivisor((1, 2), den)
+
+    def test_perturbed_divisors_built_twice_share_one_sequence(self, monkeypatch):
+        """Fan.sequence is keyed by divisor value: after a non-big
+        non_nef_locus call the memo holds one sequence per distinct
+        (D + eps*A, chart) pair it touched, and a second call, which builds
+        every D + eps*A again, adds none."""
+        fan = Fan(builtin_fan("f1").rays, builtin_fan("f1").max_cones)
+        d = divisor(0, 0, 0, 1)
+        assert not classify_divisor(fan, d).big
+        touched = set()
+        sequence = fan.sequence
+
+        def recording(d_, cone, p):
+            touched.add((d_.coefficients, tuple(sorted(cone)), p))
+            return sequence(d_, cone, p)
+
+        monkeypatch.setattr(fan, "sequence", recording)
+        rep = non_nef_locus(fan, d)
+        assert rep.status == "pseudo-effective-not-nef"
+        assert len(touched) > len(fan.max_cones)
+        assert len(fan._sequences) == len(touched)
+        assert non_nef_locus(fan, d) == rep
+        assert len(fan._sequences) == len(touched)
 
     def test_subvarieties_are_built_once(self):
         fan = builtin_fan("p3")
@@ -352,6 +412,18 @@ class TestLPOrders:
 
 
 class TestSigma:
+    @pytest.mark.parametrize("name", FANS)
+    def test_sigma_builds_one_polytope(self, name, polytopes):
+        fan = builtin_fan(name)
+        sub = fan.invariant_subvarieties()[0]
+        del polytopes[:]
+        assert sigma(fan, fan.ample, sub).value == 0
+        assert polytopes == [fan.dim]
+        del polytopes[:]
+        with pytest.raises(DomainError, match="^sigma is undefined"):
+            sigma(fan, fan.ample.scale(-1), sub)
+        assert polytopes == [fan.dim]
+
     def test_nef_gives_zero(self):
         fan = builtin_fan("f2")
         for sub in fan.invariant_subvarieties():
@@ -618,9 +690,9 @@ class TestNonNef:
                 calls.append(("tau", lam, cone))
             return tau_toric_(fan_, d_, lam, cone, *args)
 
-        def counting_plus(perturbations, lam, cone, *args):
+        def counting_plus(fan_, d_, a, lam, cone, *args):
             calls.append(("tau_+", lam, cone))
-            return tau_plus_(perturbations, lam, cone, *args)
+            return tau_plus_(fan_, d_, a, lam, cone, *args)
 
         monkeypatch.setattr(toric, "tau_toric", counting_tau)
         monkeypatch.setattr(toric, "_tau_plus", counting_plus)
