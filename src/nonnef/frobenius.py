@@ -215,12 +215,20 @@ def monomial_root_of_power(ring, pairs, e: int, p: int) -> frozenset:
 
 def _principal_monomial_closed_form(a: Ideal, lam: Fraction) -> TestIdealResult:
     """tau((x^v)^lam) = x^floor(lam*v): the chain value floor(ceil(lam q) v / q)
-    reaches this for every q > max(v) * denominator(lam) and never moves again."""
+    reaches this for every q > max(v) * denominator(lam) and never moves again.
+
+    stabilization_e is the first e at which it does.  With lam = a/b and
+    ceil(lam q) = (a q + r)/b, r = (-a q) mod b, the coordinate c stays at
+    floor(lam c) exactly when r c < q s_c, s_c = b (floor(lam c) + 1) - a c > 0,
+    so the walk only has to pass the coordinate of largest c / s_c."""
     (v,) = a.monomials
-    limit = tuple((lam.numerator * c) // lam.denominator for c in v)
+    num, den = lam.numerator, lam.denominator
+    limit = tuple((num * c) // den for c in v)
+    c, s = max(((c, den * (f + 1) - num * c) for c, f in zip(v, limit)),
+               key=lambda cs: Fraction(*cs))
     p = a.ring.field.p
     e, q = 1, p
-    while tuple((ceil_times(lam, q) * c) // q for c in v) != limit:
+    while (-num * q) % den * c >= q * s:
         e += 1
         q *= p
     return TestIdealResult(_antichain_ideal(a.ring, frozenset([limit])), e, EVIDENCE_CLOSED)
@@ -357,7 +365,10 @@ class JumpReport:
     interval_end: Fraction
     jumps: tuple
     plateaus: tuple
-    certified: bool   # False if any tau evaluation hit a cap
+    # False if a Frobenius chain hit a cap: on the Newton lane of
+    # f_jumping_numbers only the chains at the jumps and at the last grid
+    # point run, elsewhere the chain at every grid point evaluated
+    certified: bool
 
 
 def _jump_grid(lam_max: Fraction, denom_bound: int) -> list:
@@ -386,6 +397,15 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
     number whose denominator is at most denom_bound is a grid point and is
     reported as it is.  Constancy is checked on the grid only; see
     `Plateau`.
+
+    For a monomial ideal with two or more generators the bisection reads
+    tau at each grid point it visits off the Newton polyhedron
+    (`monomial_tau_newton`; the test ideal of a monomial ideal is its
+    multiplier ideal in every characteristic).  The Frobenius chain of
+    `test_ideal` then runs once at each reported jump and once at the last
+    grid point, which also checks a closed form that never changes; a chain
+    that stabilizes on another ideal is a ContractError.  Every other ideal
+    gets `test_ideal` at every visited grid point.
     """
     lam_max = check_lambda(lam_max)
     if a.is_zero():
@@ -398,16 +418,26 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
         raise ResourceLimitError(f"candidate grid of up to {int(grid_bound)} points "
                                  f"exceeds {_JUMP_GRID_CAP}; lower denom_bound or lam_max")
     grid = _jump_grid(lam_max, denom_bound)
-    unit = unit_ideal(a.ring)
-    results: dict = {-1: TestIdealResult(unit, 0, EVIDENCE_CLOSED)}  # tau(0+) = (1)
+    ring = a.ring
+    newton_lane = a.is_monomial and len(a.monomials) > 1
+    chains: dict = {}    # grid index -> TestIdealResult of the chain run there
+    if newton_lane:
+        gens = tuple(sorted(a.monomials))
+        taus: dict = {-1: frozenset([(0,) * ring.nvars])}   # tau(0+) = (1)
 
-    def lookup(i: int) -> TestIdealResult:
-        if i not in results:
-            results[i] = test_ideal(a, Fraction(*grid[i]), caps)
-        return results[i]
+        def tau_at(i: int) -> frozenset:
+            return monomial_tau_newton(ring.nvars, ((gens, Fraction(*grid[i])),))
+    else:
+        taus = {-1: unit_ideal(ring)}
 
-    def same(i: int, j: int) -> bool:
-        return lookup(i).ideal == lookup(j).ideal
+        def tau_at(i: int) -> Ideal:
+            chains[i] = test_ideal(a, Fraction(*grid[i]), caps)
+            return chains[i].ideal
+
+    def tau(i: int):
+        if i not in taus:
+            taus[i] = tau_at(i)
+        return taus[i]
 
     jump_at: list = []   # grid indices of the jumps
 
@@ -417,22 +447,31 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
             jump_at.append(hi)
             return
         mid = (lo + hi) // 2
-        if not same(lo, mid):
+        if tau(lo) != tau(mid):
             bisect(lo, mid)
-        if not same(mid, hi):
+        if tau(mid) != tau(hi):
             bisect(mid, hi)
 
-    if grid and not same(-1, len(grid) - 1):
+    if grid and tau(-1) != tau(len(grid) - 1):
         bisect(-1, len(grid) - 1)
     jump_at.sort()
     jumps = tuple(Fraction(*grid[i]) for i in jump_at)
 
-    plateaus = [Plateau(start, end, lookup(i).ideal) for i, start, end in
-                zip([-1] + jump_at, (Fraction(0),) + jumps, jumps + (lam_max,))]
+    if newton_lane:
+        for i in sorted({*jump_at, len(grid) - 1}) if grid else ():
+            r = chains[i] = test_ideal(a, Fraction(*grid[i]), caps)
+            if r.evidence != EVIDENCE_CAP and r.ideal.monomials != taus[i]:
+                raise ContractError(f"Frobenius chain at {Fraction(*grid[i])} stabilized "
+                                    f"off the Newton-polyhedron test ideal")
+        ideals = [unit_ideal(ring)] + [_antichain_ideal(ring, taus[i]) for i in jump_at]
+    else:
+        ideals = [taus[i] for i in [-1] + jump_at]
+    plateaus = [Plateau(start, end, ideal) for ideal, start, end in
+                zip(ideals, (Fraction(0),) + jumps, jumps + (lam_max,))]
     for prev, nxt in zip(plateaus, plateaus[1:]):
         if not (ideal_contains(prev.ideal, nxt.ideal) and prev.ideal != nxt.ideal):
             raise ContractError("plateau ideals must strictly decrease")
-    certified = all(r.evidence != EVIDENCE_CAP for r in results.values())
+    certified = all(r.evidence != EVIDENCE_CAP for r in chains.values())
     return JumpReport(lam_max, jumps, tuple(plateaus), certified)
 
 

@@ -115,32 +115,34 @@ def monomial_tau_newton(n: int, pairs_with_lambda) -> frozenset:
 def _staircase(constraints, n: int) -> frozenset:
     """Minimal lattice points u >= 0 with <h, u> >= bound for all constraints.
 
-    The feasible set is upward closed, so scanning the first coordinate and
-    recursing terminates as soon as the sub-staircase equals its limit (the
-    sub-problem with every first-coordinate-loaded constraint dropped)."""
+    Every bound is positive: a constraint with bound <= 0 holds on the
+    whole orthant, h being >= 0, so callers drop it.  The feasible set is
+    upward closed, so scanning the first coordinate and recursing
+    terminates as soon as the sub-staircase equals its limit (the
+    sub-problem with every first-coordinate-loaded constraint dropped).
+    Each constraint is split once per level into its tail h[1:], its first
+    coefficient and its bound."""
     if not constraints:
         return frozenset([(0,) * n])
     if n == 1:
-        need = max(-(-b // h[0]) for h, b in constraints)
-        return frozenset([(max(0, need),)])
-
-    def tail_staircase(cons):
-        return _staircase([(h[1:], b) for h, b in cons], n - 1)
-
-    blockers = [(h, b) for h, b in constraints if not any(h[1:])]
-    start = max((-(-b // h[0]) for h, b in blockers), default=0)
-    active = [(h, b) for h, b in constraints if any(h[1:])]
-    limit = tail_staircase([(h, b) for h, b in active if h[0] == 0])
+        return frozenset([(max(-(-b // h[0]) for h, b in constraints),)])
+    start = 0
+    split = []   # (h[1:], h[0], bound) of the constraints that load the tail
+    for h, b in constraints:
+        tail = h[1:]
+        if any(tail):
+            split.append((tail, h[0], b))
+        else:
+            start = max(start, -(-b // h[0]))
+    limit = _staircase([(t, b) for t, h0, b in split if h0 == 0], n - 1)
     out = set()
-    u1 = max(0, start)
-    guard = 0
+    u1 = start
     while True:
-        sub = tail_staircase([(h, b - h[0] * u1) for h, b in active])
+        sub = _staircase([(t, r) for t, h0, b in split if (r := b - h0 * u1) > 0], n - 1)
         out.update((u1,) + t for t in sub)
         if sub == limit:
             break
         u1 += 1
-        guard += 1
-        if guard > 10**6:
+        if u1 - start > 10**6:
             raise ContractError("staircase scan failed to terminate")
     return min_antichain(out)

@@ -11,7 +11,9 @@ from itertools import product
 from math import floor
 from operator import le
 
-from nonnef.ideal import Ideal, monomial_ideal
+from nonnef.caps import DEFAULT_CAPS
+from nonnef.frobenius import EVIDENCE_CAP, JumpReport, Plateau, test_ideal
+from nonnef.ideal import Ideal, monomial_ideal, unit_ideal
 from nonnef.newton import _candidate_normals
 from nonnef.poly import Polynomial
 
@@ -110,6 +112,43 @@ def jump_grid_by_fractions(lam_max, denom_bound):
     as a sorted list of distinct Fractions."""
     return sorted({Fraction(n, d) for d in range(1, denom_bound + 1)
                    for n in range(1, (lam_max * d).__floor__() + 1)})
+
+
+def jumps_by_chain(a: Ideal, lam_max, denom_bound, caps=DEFAULT_CAPS) -> JumpReport:
+    """The JumpReport of `f_jumping_numbers` computed by bisecting the
+    Fraction grid with the Frobenius chain of `test_ideal` at every visited
+    point, tau(0+) = (1) standing before the first; `certified` is False
+    when any of those chains hit a cap."""
+    lam_max = Fraction(lam_max)
+    grid = jump_grid_by_fractions(lam_max, denom_bound)
+    results = {-1: (unit_ideal(a.ring), False)}
+
+    def tau(i):
+        if i not in results:
+            r = test_ideal(a, grid[i], caps)
+            results[i] = (r.ideal, r.evidence == EVIDENCE_CAP)
+        return results[i][0]
+
+    jump_at = []
+
+    def bisect(lo, hi):
+        if hi - lo == 1:
+            jump_at.append(hi)
+            return
+        mid = (lo + hi) // 2
+        if tau(lo) != tau(mid):
+            bisect(lo, mid)
+        if tau(mid) != tau(hi):
+            bisect(mid, hi)
+
+    if grid and tau(-1) != tau(len(grid) - 1):
+        bisect(-1, len(grid) - 1)
+    jump_at.sort()
+    jumps = tuple(grid[i] for i in jump_at)
+    plateaus = tuple(Plateau(start, end, tau(i)) for i, start, end in
+                     zip([-1] + jump_at, (Fraction(0),) + jumps, jumps + (lam_max,)))
+    certified = not any(capped for _, capped in results.values())
+    return JumpReport(lam_max, jumps, plateaus, certified)
 
 
 def oneshot_q_root(a: Ideal, q: int) -> Ideal:

@@ -15,13 +15,15 @@ from nonnef import (Caps, ContractError, DomainError, Ideal, Polynomial,
                     frobenius_root, ideal_contains, ideal_power, ideal_product,
                     mixed_test_ideal, monomial_ideal, parse_ideal, ring,
                     unit_ideal, zero_ideal)
+from nonnef import frobenius
 from nonnef.field import PrimeField
-from nonnef.frobenius import (_JUMP_GRID_CAP, _jump_grid, _root_memo, ceil_times,
-                              check_lambda, monomial_root_of_power, stabilize)
+from nonnef.frobenius import (_JUMP_GRID_CAP, _jump_grid, _principal_monomial_closed_form,
+                              _root_memo, ceil_times, check_lambda, monomial_root_of_power,
+                              stabilize)
 from nonnef.frobenius import test_ideal as tau
 from nonnef.newton import _candidate_normals, monomial_tau_newton
 from nonnef.verify import random_monomial_ideal
-from oracles import (jump_grid_by_fractions, naive_monomial_power_root,
+from oracles import (jump_grid_by_fractions, jumps_by_chain, naive_monomial_power_root,
                      iterated_p_root, naive_product_power_root, naive_test_ideal_chain,
                      newton_tau_by_fractions)
 
@@ -344,6 +346,25 @@ class TestTestIdeal:
         assert r.ideal == parse_ideal("p=2; vars=x; gens=[x]")
         assert r.evidence == "closed-form"
 
+    def test_principal_stabilization_e_matches_the_walk(self):
+        # the first e with floor(ceil(lam q) v / q) = floor(lam v), walked
+        # member by member
+        rng = random.Random(77)
+        for _ in range(400):
+            p = rng.choice([2, 3, 5, 7])
+            v = tuple(rng.randrange(10) for _ in range(rng.randint(1, 3)))
+            if not any(v):
+                continue
+            lam = Fraction(rng.randint(1, 40), rng.randint(1, 30))
+            limit = tuple(lam.numerator * c // lam.denominator for c in v)
+            e, q = 1, p
+            while tuple(ceil_times(lam, q) * c // q for c in v) != limit:
+                e, q = e + 1, q * p
+            amb = ring(p, *[f"x{k}" for k in range(len(v))])
+            r = _principal_monomial_closed_form(monomial_ideal(amb, [v]), lam)
+            assert (r.stabilization_e, r.ideal.monomials) == (e, frozenset([limit])), \
+                (v, lam, p)
+
     def test_lambda_zero_is_unit(self):
         r = tau(I("p=2; vars=x,y; gens=[x, y]"), 0)
         assert r.ideal == unit_ideal(R2)
@@ -493,6 +514,56 @@ class TestJumpingNumbers:
             for lam in grid:
                 if pl.start <= lam < pl.end or (pl is rep.plateaus[-1] and lam == pl.end):
                     assert tau(a, lam).ideal == pl.ideal
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("nvars", [2, 3])
+    @pytest.mark.parametrize("principal", [True, False], ids=["principal", "several-gens"])
+    def test_matches_the_chain_at_every_grid_point(self, p, nvars, principal):
+        # the Newton lane, which runs the chain only at the jumps and at the
+        # last grid point, reports what the chain at every visited point does
+        amb = ring(p, *[f"x{k}" for k in range(nvars)])
+        rng = random.Random(f"jumps:{p}:{nvars}:{principal}")
+        max_deg = 5 if nvars == 2 else 3
+        checked = 0
+        while checked < 4:
+            a = random_monomial_ideal(rng, amb, 1 if principal else 3, max_deg)
+            if (len(a.monomials) == 1) != principal or a.is_unit():
+                continue
+            checked += 1
+            rep, expected = f_jumping_numbers(a, 2, 6), jumps_by_chain(a, 2, 6)
+            assert rep == expected, repr(a)
+            assert [pl.ideal.monomials for pl in rep.plateaus] \
+                == [pl.ideal.monomials for pl in expected.plateaus]
+
+    def test_capped_chain_at_a_jump_is_not_certified(self):
+        # with one Frobenius iterate the chain at the jumps of (x^2, y^2)
+        # stops short; the plateaus still carry the Newton-polyhedron ideals
+        a = I("p=2; vars=x,y; gens=[x^2, y^2]")
+        full = f_jumping_numbers(a, 2, 4)
+        assert full.certified and full.jumps == (1, Fraction(3, 2), 2)
+        assert any(tau(a, lam).stabilization_e >= 2 for lam in full.jumps)
+        capped = f_jumping_numbers(a, 2, 4, Caps(e_max_monomial=1))
+        assert not capped.certified
+        assert capped.jumps == full.jumps
+        assert [pl.ideal.monomials for pl in capped.plateaus] \
+            == [pl.ideal.monomials for pl in full.plateaus]
+
+    def test_closed_form_that_never_changes_is_not_certified(self, monkeypatch):
+        # a Newton value stuck at the unit ideal gives no jump; the chain at
+        # the last grid point, where tau((x^2, y^3)^1) = (x, y), cannot reach
+        # it and caps
+        monkeypatch.setattr(frobenius, "monomial_tau_newton",
+                            lambda n, pairs: frozenset([(0,) * n]))
+        rep = f_jumping_numbers(I("p=2; vars=x,y; gens=[x^2, y^3]"), 1, 4)
+        assert rep.jumps == () and not rep.certified
+
+    def test_chain_off_the_newton_value_is_contract_error(self, monkeypatch):
+        a = I("p=2; vars=x,y; gens=[x^2, y^3]")
+        # a chain that claims to stabilize on the unit ideal at a jump
+        unit_chain = frobenius.TestIdealResult(unit_ideal(R2), 1, frobenius.EVIDENCE_WINDOW)
+        monkeypatch.setattr(frobenius, "test_ideal", lambda a, lam, caps: unit_chain)
+        with pytest.raises(ContractError, match="Newton"):
+            f_jumping_numbers(a, 1, 4)
 
     def test_plateau_ideals_strictly_decrease(self):
         rep = f_jumping_numbers(I("p=3; vars=x,y; gens=[x^2, y^2]"), 3, 6)
