@@ -25,14 +25,21 @@ geometrically; the antichain pruning along the way is sound because roots,
 products and floors are all monotone.  The recursion is checked against
 the naive multiset expansion in the test suite.
 
-For general ideals the chain member is the root of the expanded power.
-`ideal_power` forms one product P(c) = prod_j g_j^c_j per count vector c
-of the generators with sum N, by Horner's rule on the base-p digits of c,
-P(c) = P(c div p)(x^p) * prod_j g_j^(c_j mod p) (exact because the
-Frobenius fixes F_p); a principal power f^N is the case of one generator.
-`frobenius_root` then takes the base-q digit decomposition of every
-generator in one pass, which gives the same generators as e successive
-p-th roots.
+For general ideals a^N is generated by one product P(c) = prod_j g_j^c_j
+per count vector c of the generators with sum N.  The first member of the
+chain is `frobenius_root` of the expanded power `ideal_power(a, N)`; the
+later ones never form a^N.  Since the Frobenius fixes F_p,
+(g^q h)^[1/q] = g h^[1/q], so writing c = q s + t with t < q componentwise,
+the level-q buckets of P(c) = P(s)^[q] P(t) are P(s) times those of P(t).
+These come from the base-p digits r_0, r_1, ... of t, lowest first: the
+buckets of D(r_0) = prod_j g_j^(r_0)_j, then the level-p buckets of w D(r_1)
+for each bucket w, and so on, in a digit tree that every member of the
+chain shares.  An intermediate constant bucket is kept, since the next
+digit multiplies it; the unit test, the generator cap and the Ideal act on
+the final buckets only, which are, as a set, the generators
+`frobenius_root` takes from the expanded power.  A monomial factor of a
+mixed call enters as the minimal generators x^u of its power, u split into
+digits the same way.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ from .field import PrimeField
 from .ideal import (Ideal, _antichain_ideal, ideal_contains, ideal_power,
                     ideal_product, monomial_power_gens, unit_ideal)
 from .newton import monomial_tau_newton
-from .poly import Polynomial, min_antichain, mono_mul, monos_in_ideal
+from .poly import (Polynomial, _count_vectors, _digit_horner, _digit_product, min_antichain,
+                   mono_mul, monos_in_ideal)
 
 EVIDENCE_CLOSED = "closed-form"
 EVIDENCE_WINDOW = "window-stable"
@@ -100,6 +108,28 @@ _ROOT_GEN_CAP = 100000
 _JUMP_GRID_CAP = 10 ** 6
 
 
+def _digit_split(terms: dict, q: int) -> dict:
+    """The base-q digit split of a polynomial given by its terms: the
+    residue b = w mod q of every exponent w that occurs, mapped to its
+    bucket {w div q: c}, so that f = sum_b x^b g_b(x^q)."""
+    buckets: dict = {}
+    for m, c in terms.items():
+        b = tuple([w % q for w in m])
+        bucket = buckets.get(b)
+        if bucket is None:
+            bucket = buckets[b] = {}
+        bucket[tuple([w // q for w in m])] = c
+    return buckets
+
+
+def _root_ideal(ring, roots: list) -> Ideal:
+    """The ideal of the distinct root polynomials `roots`, none of them a
+    constant, within the generator-count cap."""
+    if len(roots) > _ROOT_GEN_CAP:
+        raise ResourceLimitError("Frobenius root generator count exploded")
+    return Ideal(ring, roots)
+
+
 def frobenius_root(a: Ideal, e: int) -> Ideal:
     """The ideal a^[1/q], q = p^e: the coefficients g_b of the base-q digit
     decompositions f = sum_b g_b^q x^b of the generators, b < q componentwise.
@@ -116,21 +146,16 @@ def frobenius_root(a: Ideal, e: int) -> Ideal:
     if e == 0:
         return a
     # p^k > every exponent once k is its bit length: deeper roots floor to 0
-    top = max(max(m) for g in a.generators for m in g.terms)
+    top = max([max(m) for g in a.generators for m in g.terms])
     q = a.ring.field.p ** min(e, top.bit_length())
     zero = (0,) * a.ring.nvars
     roots = {}  # bucket polynomials, deduplicated by their term sets
     for f in a.generators:
-        buckets: dict = {}
-        for m, c in f.terms.items():
-            buckets.setdefault(tuple(w % q for w in m), {})[tuple(w // q for w in m)] = c
-        for terms in buckets.values():
+        for terms in _digit_split(f.terms, q).values():
             if len(terms) == 1 and zero in terms:
                 return unit_ideal(a.ring)
             roots[frozenset(terms.items())] = terms
-    if len(roots) > _ROOT_GEN_CAP:
-        raise ResourceLimitError("Frobenius root generator count exploded")
-    return Ideal(a.ring, [Polynomial._clean(a.ring, terms) for terms in roots.values()])
+    return _root_ideal(a.ring, [Polynomial._clean(a.ring, terms) for terms in roots.values()])
 
 
 # -- fused monomial root-of-power ----------------------------------------------
@@ -290,25 +315,116 @@ def _monomial_chain(ring, pairs_with_lambda, caps: Caps) -> TestIdealResult:
     return TestIdealResult(_antichain_ideal(ring, j), first_e, EVIDENCE_CAP)
 
 
-def _general_chain(ring, ideals_with_lambda, caps: Caps) -> TestIdealResult:
+def _shifted_product(ring, gens, v: tuple, lifted: dict, digit_products: dict):
+    """P(c) * x^u = prod_j gens[j]^c_j * x^u for v = c + u, the counts c over
+    `gens` followed by an exponent vector u; None for the constant 1."""
+    counts, shift = v[:len(gens)], v[len(gens):]
+    f = (_digit_horner(gens, counts, ring.field.p, lifted, digit_products)
+         if any(counts) else None)
+    if any(shift):
+        f = (f or Polynomial.one(ring)).scale_monomial(shift)
+    return f
+
+
+def _digit_level(ring, gens, node, digit: tuple, lifted: dict, digit_products: dict):
+    """The child of `node` at the digit vector r_i in the digit tree of one
+    general chain, built and stored.
+
+    A node (W, children) holds the distinct level-p^i buckets W of
+    prod_{j<i} D(r_j)^[p^j] over the digit vectors r_0..r_{i-1} on its path,
+    D(r) = `_shifted_product` of r, and children maps the next digit vector
+    to its node.  The child holds the distinct level-p buckets of w * D(r_i)
+    over w in W: the buckets of a bucket are the deeper buckets, and
+    (h^[p] * D)^[1/p] = h * D^[1/p] because the Frobenius fixes F_p.  A
+    constant bucket is kept as it is, since the next digit multiplies it.
+    """
+    d = _shifted_product(ring, gens, digit, lifted, digit_products)
+    level: dict = {}
+    for w in node[0]:
+        for terms in _digit_split((w * d if d else w).terms, ring.field.p).values():
+            level[frozenset(terms.items())] = terms
+    child = node[1][digit] = ([Polynomial._clean(ring, t) for t in level.values()], {})
+    return child
+
+
+def _fused_member(ring, gens, choices, e: int, tree, lifted: dict,
+                  digit_products: dict) -> Ideal:
+    """(prod_i a_i^N_i)^[1/q], q = p^e, without expanding the power.
+
+    `choices` lists the generators P(c) * x^u of the power as vectors
+    v = c + u (see `_shifted_product`).  Writing v = q s + t with t < q
+    componentwise, P(c) x^u = (P(s) x^s')^[q] * (P(t) x^t'), s' and t' being
+    the exponent parts, so its level-q buckets are P(s) x^s' * w over the
+    buckets w of the second factor, which the digit tree `tree` holds under
+    the base-p digits of t, lowest first.  These are the buckets
+    frobenius_root takes from the expanded power, as the same set of
+    polynomials, so the unit test, the generator cap and the Ideal see what
+    they see there.
+    """
+    p, q = ring.field.p, ring.field.p ** e
+    groups: dict = {}   # low part t -> the distinct high parts s sharing it
+    for v in choices:
+        groups.setdefault(tuple([x % q for x in v]), {})[tuple([x // q for x in v])] = None
+    zero = (0,) * ring.nvars
+    powers = [p ** i for i in range(e)]
+    roots: dict = {}   # final buckets, deduplicated by their term sets
+    for t, highs in groups.items():
+        node = tree
+        for pi in powers:
+            digit = tuple([x // pi % p for x in t])
+            node = (node[1].get(digit)
+                    or _digit_level(ring, gens, node, digit, lifted, digit_products))
+        for s in highs:
+            base = _shifted_product(ring, gens, s, lifted, digit_products)
+            for w in node[0]:
+                f = base * w if base else w
+                if len(f.terms) == 1 and zero in f.terms:
+                    return unit_ideal(ring)
+                roots[frozenset(f.terms.items())] = f
+    return _root_ideal(ring, list(roots.values()))
+
+
+def _general_members(ring, ideals_with_lambda, caps: Caps):
+    """The members (e, (prod_i a_i^ceil(lam_i p^e))^[1/p^e]) of a general
+    chain, e = 1, 2, ..., e_max_general, at least one a_i not monomial.
+
+    The first member is the root of the expanded power.  Every later one is
+    `_fused_member`, on a digit tree, a Horner memo and digit products that
+    the whole chain shares; a power past `power_degree_cap` ends the chain
+    there (the first one raises, as `ideal_power` does).
+    """
     p = ring.field.p
-
-    def members():
-        q = 1
-        for e in range(1, caps.e_max_general + 1):
-            q *= p
-            try:
-                power = reduce(ideal_product, [ideal_power(a, ceil_times(lam, q), caps)
-                                               for a, lam in ideals_with_lambda])
-            except ResourceLimitError:
-                if e == 1:
-                    raise
+    gens = tuple(g for a, _ in ideals_with_lambda if not a.is_monomial for g in a.generators)
+    tree = ([Polynomial.one(ring)], {})
+    lifted: dict = {}
+    digit_products: dict = {}
+    zero = (0,) * ring.nvars
+    q = 1
+    for e in range(1, caps.e_max_general + 1):
+        q *= p
+        counts = [ceil_times(lam, q) for _, lam in ideals_with_lambda]
+        if e == 1:
+            yield e, frobenius_root(reduce(ideal_product, [
+                ideal_power(a, n, caps) for (a, _), n in zip(ideals_with_lambda, counts)]), e)
+            continue
+        counts_part, shifts = [()], [zero]
+        for (a, _), n in zip(ideals_with_lambda, counts):
+            if a.is_monomial:
+                shifts = [mono_mul(u, w) for u in shifts for w in ideal_power(a, n).monomials]
+            elif n * max(g.total_degree() for g in a.generators) > caps.power_degree_cap:
                 return  # chain truncated by the degree cap: cap-reached below
-            yield e, frobenius_root(power, e)
+            else:
+                counts_part = [c + d for c in counts_part
+                               for d in _count_vectors(n, len(a.generators))]
+        choices = [c + u for c in counts_part for u in shifts]
+        yield e, _fused_member(ring, gens, choices, e, tree, lifted, digit_products)
 
+
+def _general_chain(ring, ideals_with_lambda, caps: Caps) -> TestIdealResult:
     # reduced Groebner keys, not Ideal.__eq__, which would add normal forms
     ideal, first_e, stable = stabilize(
-        members(), caps.window, lambda prev, cur: ideal_contains(cur, prev, caps),
+        _general_members(ring, ideals_with_lambda, caps), caps.window,
+        lambda prev, cur: ideal_contains(cur, prev, caps),
         key=lambda j: _ideal_key_for_chain(j, caps))
     return TestIdealResult(ideal, first_e, EVIDENCE_WINDOW if stable else EVIDENCE_CAP)
 

@@ -153,8 +153,10 @@ def jumps_by_chain(a: Ideal, lam_max, denom_bound, caps=DEFAULT_CAPS) -> JumpRep
 
 def oneshot_q_root(a: Ideal, q: int) -> Ideal:
     """(a)^[1/q] computed in a single digit decomposition at level q.  This
-    is also the production algorithm, so the test suite checks production
-    against `iterated_p_root` instead."""
+    is the algorithm of `frobenius_root`, which takes the first member of a
+    general test-ideal chain; the later members split only the low digits
+    of the counts.  The test suite checks both against `iterated_p_root`
+    instead."""
     gens = []
     for f in a.generators:
         buckets = {}

@@ -1,5 +1,6 @@
 """Frobenius powers/roots, test ideals, jumping numbers, the ceil identity."""
 
+import gc
 import operator
 import random
 import sys
@@ -17,15 +18,15 @@ from nonnef import (Caps, ContractError, DomainError, Ideal, Polynomial,
                     unit_ideal, zero_ideal)
 from nonnef import frobenius
 from nonnef.field import PrimeField
-from nonnef.frobenius import (_JUMP_GRID_CAP, _jump_grid, _principal_monomial_closed_form,
-                              _root_memo, ceil_times, check_lambda, monomial_root_of_power,
-                              stabilize)
+from nonnef.frobenius import (_JUMP_GRID_CAP, _general_members, _jump_grid,
+                              _principal_monomial_closed_form, _root_memo, ceil_times,
+                              check_lambda, monomial_root_of_power, stabilize)
 from nonnef.frobenius import test_ideal as tau
 from nonnef.newton import _candidate_normals, monomial_tau_newton
 from nonnef.verify import random_monomial_ideal
-from oracles import (jump_grid_by_fractions, jumps_by_chain, naive_monomial_power_root,
-                     iterated_p_root, naive_product_power_root, naive_test_ideal_chain,
-                     newton_tau_by_fractions)
+from oracles import (jump_grid_by_fractions, jumps_by_chain, multiset_power,
+                     naive_monomial_power_root, iterated_p_root, naive_product_power_root,
+                     naive_test_ideal_chain, newton_tau_by_fractions)
 
 R2 = ring(2, "x", "y")
 R3 = ring(3, "x", "y")
@@ -464,6 +465,119 @@ class TestMixedTestIdeal:
         r = mixed_test_ideal(I("p=2; vars=x,y; gens=[x]"), 1,
                              I("p=2; vars=x,y; gens=[y]"), 1)
         assert r.ideal == I("p=2; vars=x,y; gens=[x*y]")
+
+
+def _expanded_power(amb, pairs, q):
+    """prod_i a_i^ceil(lam_i q) by the multiset oracle, the product taken
+    generator by generator, as `ideal_product` presents it."""
+    power = unit_ideal(amb)
+    for a, lam in pairs:
+        factor = multiset_power(amb, list(a.generators), ceil_times(lam, q))
+        power = Ideal(amb, [f * g for f in power.generators for g in factor.generators])
+    return power
+
+
+def _root_outcomes(members):
+    """repr of each chain member in turn, then "capped" if the next one
+    raised ResourceLimitError."""
+    out = []
+    try:
+        for _, member in members:
+            out.append(repr(member))
+    except ResourceLimitError:
+        out.append("capped")
+    return out
+
+
+class TestFusedGeneralChain:
+    """Members at e >= 2 are built from the base-p digits of the counts;
+    each must print as the root of the expanded power."""
+
+    CAPS = Caps(e_max_general=4, power_degree_cap=64)
+
+    def _assert_members_match(self, amb, pairs):
+        members = list(_general_members(amb, pairs, self.CAPS))
+        assert [e for e, _ in members] == list(range(1, len(members) + 1))
+        p = amb.field.p
+        for e, member in members:
+            expected = iterated_p_root(_expanded_power(amb, pairs, p ** e), e)
+            assert repr(member) == repr(expected), (pairs, e)
+        return members
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_members_match_the_iterated_root_of_the_expanded_power(self, p):
+        amb = ring(p, "x", "y")
+        rng = random.Random(2200 + p)
+        fused = []   # (lam > 1, generator count) of each chain with a member at e >= 2
+        for k in (1, 2, 3):
+            for lam in (Fraction(1, 3), Fraction(3, 4), Fraction(5, 4), Fraction(7, 3)):
+                gens = [Polynomial(amb, {tuple(rng.randrange(3) for _ in range(2)):
+                                         rng.randrange(1, p)
+                                         for _ in range(rng.randint(1, 3))})
+                        for _ in range(k)]
+                if p > 2 and gens[0].leading_coeff() == 1:
+                    gens[0] = gens[0].scale(2)
+                a = Ideal(amb, gens)
+                if a.is_monomial:
+                    continue
+                if len(self._assert_members_match(amb, [(a, lam)])) > 1:
+                    fused.append((lam > 1, len(a.generators)))
+        assert len(fused) >= 4 and any(high for high, _ in fused)
+
+    @pytest.mark.parametrize("second", ["x*y^2", "x^2, y", "x + y^2", "x^2 + y, x*y + 1"])
+    def test_mixed_members_match(self, second):
+        amb = R3
+        a = I("p=3; vars=x,y; gens=[x^2 + 2*y + x*y]")
+        b = I(f"p=3; vars=x,y; gens=[{second}]")
+        for lam, mu in ((Fraction(1, 2), Fraction(2, 3)), (Fraction(4, 3), Fraction(1, 4)),
+                        (Fraction(2, 3), 0)):
+            members = self._assert_members_match(amb, [(a, lam), (b, Fraction(mu))])
+            assert len(members) >= 2
+            assert self._assert_members_match(amb, [(b, Fraction(mu)), (a, lam)])
+
+    def test_constant_digit_bucket_is_kept(self):
+        # (x + y^2)^6 at q = 4, 6 = 4 * 1 + 2: the level-4 buckets of
+        # (x + y^2)^2 = x^2 + y^4 are 1 and y, and the high part x + y^2
+        # multiplies both; collapsing the constant to (1) would print [y^2 + x]
+        a = I("p=2; vars=x,y; gens=[x + y^2]")
+        members = dict(self._assert_members_match(R2, [(a, Fraction(3, 2))]))
+        assert repr(members[2]) == "p=2; vars=x,y; gens=[y^2 + x, y^3 + x*y]"
+
+    def test_root_generator_cap_trips_at_the_same_member(self, monkeypatch):
+        # distinct buckets per member: 6, 8, then a unit member (20 buckets);
+        # and 9, then unit members (15 and 20 buckets), the unit test coming
+        # before the cap
+        for text, lam, cap, members in (
+                ("p=2; vars=x,y; gens=[x^2 + x*y + y, x*y^2 + x]", Fraction(5, 4), 7, 1),
+                ("p=3; vars=x,y; gens=[x^2 + x*y + y^2, x + 2*y^2]", Fraction(4, 3), 10, 4)):
+            monkeypatch.setattr(frobenius, "_ROOT_GEN_CAP", cap)
+            a = I(text)
+            p = a.ring.field.p
+            expected = []
+            for e in range(1, 5):
+                try:
+                    expected.append(repr(frobenius_root(
+                        ideal_power(a, ceil_times(lam, p ** e)), e)))
+                except ResourceLimitError:
+                    expected.append("capped")
+                    break
+            assert len(expected) - expected.count("capped") == members
+            assert _root_outcomes(_general_members(a.ring, [(a, lam)],
+                                                   Caps(e_max_general=4))) == expected
+        monkeypatch.setattr(frobenius, "_ROOT_GEN_CAP", 7)
+        with pytest.raises(ResourceLimitError, match="generator count"):
+            tau(I("p=2; vars=x,y; gens=[x^2 + x*y + y, x*y^2 + x]"), Fraction(5, 4))
+
+    def test_chain_leaves_no_cyclic_garbage(self):
+        a = I("p=3; vars=x,y; gens=[x^2 + 2*y, x*y + 1]")
+        gc.collect()
+        gc.disable()
+        try:
+            # no window of equal members: e = 1..4 all ran, three of them fused
+            assert tau(a, Fraction(5, 4), Caps(e_max_general=4)).evidence == "cap-reached"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestJumpingNumbers:
