@@ -481,9 +481,9 @@ class JumpReport:
     interval_end: Fraction
     jumps: tuple
     plateaus: tuple
-    # False if a Frobenius chain hit a cap: on the Newton lane of
-    # f_jumping_numbers only the chains at the jumps and at the last grid
-    # point run, elsewhere the chain at every grid point evaluated
+    # False if a Frobenius chain hit a cap: for a monomial ideal test_ideal
+    # runs only at the jumps and at the last grid point, for any other
+    # ideal at every grid point evaluated
     certified: bool
 
 
@@ -514,14 +514,13 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
     reported as it is.  Constancy is checked on the grid only; see
     `Plateau`.
 
-    For a monomial ideal with two or more generators the bisection reads
-    tau at each grid point it visits off the Newton polyhedron
-    (`monomial_tau_newton`; the test ideal of a monomial ideal is its
-    multiplier ideal in every characteristic).  The Frobenius chain of
+    For a monomial ideal the bisection reads tau at each grid point it
+    visits off the Newton polyhedron (`monomial_tau_newton`; the test ideal
+    of a monomial ideal is its multiplier ideal in every characteristic).
     `test_ideal` then runs once at each reported jump and once at the last
-    grid point, which also checks a closed form that never changes; a chain
-    that stabilizes on another ideal is a ContractError.  Every other ideal
-    gets `test_ideal` at every visited grid point.
+    grid point, which also checks a closed form that never changes; a
+    result that stabilizes on another ideal is a ContractError.  A
+    non-monomial ideal gets `test_ideal` at every visited grid point.
     """
     lam_max = check_lambda(lam_max)
     if a.is_zero():
@@ -535,9 +534,8 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
                                  f"exceeds {_JUMP_GRID_CAP}; lower denom_bound or lam_max")
     grid = _jump_grid(lam_max, denom_bound)
     ring = a.ring
-    newton_lane = a.is_monomial and len(a.monomials) > 1
-    chains: dict = {}    # grid index -> TestIdealResult of the chain run there
-    if newton_lane:
+    chains: dict = {}    # grid index -> TestIdealResult of test_ideal run there
+    if a.is_monomial:
         gens = tuple(sorted(a.monomials))
         taus: dict = {-1: frozenset([(0,) * ring.nvars])}   # tau(0+) = (1)
 
@@ -573,11 +571,11 @@ def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,
     jump_at.sort()
     jumps = tuple(Fraction(*grid[i]) for i in jump_at)
 
-    if newton_lane:
+    if a.is_monomial:
         for i in sorted({*jump_at, len(grid) - 1}) if grid else ():
             r = chains[i] = test_ideal(a, Fraction(*grid[i]), caps)
             if r.evidence != EVIDENCE_CAP and r.ideal.monomials != taus[i]:
-                raise ContractError(f"Frobenius chain at {Fraction(*grid[i])} stabilized "
+                raise ContractError(f"test ideal at {Fraction(*grid[i])} stabilized "
                                     f"off the Newton-polyhedron test ideal")
         ideals = [unit_ideal(ring)] + [_antichain_ideal(ring, taus[i]) for i in jump_at]
     else:

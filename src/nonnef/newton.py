@@ -30,8 +30,11 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .errors import ContractError
+from .errors import ResourceLimitError
 from .poly import min_antichain
+
+#: Most first-coordinate slices one level of `_staircase` scans past its start.
+_STAIRCASE_SLICE_CAP = 10 ** 6
 
 
 def _primitive(v):
@@ -143,6 +146,7 @@ def _staircase(constraints, n: int) -> frozenset:
         if sub == limit:
             break
         u1 += 1
-        if u1 - start > 10**6:
-            raise ContractError("staircase scan failed to terminate")
+        if u1 - start > _STAIRCASE_SLICE_CAP:
+            raise ResourceLimitError(f"staircase scan exceeds {_STAIRCASE_SLICE_CAP} "
+                                     f"slices of one coordinate")
     return min_antichain(out)

@@ -23,7 +23,7 @@ from .errors import ContractError, DomainError, ResourceLimitError, require_int
 from .field import PrimeField
 from .frobenius import (EVIDENCE_CAP, EVIDENCE_CLOSED, EVIDENCE_WINDOW, TestIdealResult,
                         check_lambda, stabilize, worst_evidence)
-from .ideal import Ideal, ideal_contains, monomial_ideal, zero_ideal
+from .ideal import Ideal, _antichain_ideal, ideal_contains, zero_ideal
 from .newton import _det, _orthogonal_normal, _primitive
 from .poly import mono_divides, ring
 from .simplex import INFEASIBLE, OPTIMAL, Polytope, solve_lp
@@ -506,7 +506,7 @@ def _chart_system(fan: Fan, d: ToricDivisor, level: int, cone):
 def chart_ideal(fan: Fan, d: ToricDivisor, level: int, cone, p: int = 2) -> Ideal:
     """The base-locus ideal of |level*D| restricted to the chart of `cone`,
     as a monomial ideal in F_p[x_i : i in cone]: the minimal lattice points
-    of the chart-coordinate section system generate."""
+    of the chart-coordinate section system, an antichain, generate."""
     require_int(level, "level")
     cone = tuple(sorted(cone))
     if cone not in fan.max_cones:
@@ -515,7 +515,7 @@ def chart_ideal(fan: Fan, d: ToricDivisor, level: int, cone, p: int = 2) -> Idea
     amb = ring(p, *[f"x{i}" for i in cone])
     if not gens:
         return zero_ideal(amb)
-    return monomial_ideal(amb, gens)
+    return _antichain_ideal(amb, gens)
 
 
 def base_locus_ord(fan: Fan, d: ToricDivisor, level: int, sub: InvariantSubvariety,
@@ -796,17 +796,12 @@ def non_nef_locus(fan: Fan, d: ToricDivisor, p: int = 2,
             disagreement = (f"non-nef membership methods disagree at {sub} for D={d}: "
                             f"sigma>0 is {lp_member}, tau-vanishing is {tau_member}, "
                             f"perturbed base locus is {bl_member}")
-            if lp_member and bl_member and not tau_member:
-                if not cls.big:
-                    disagreement += (
-                        f" (tau_+ at the level tau_level_cap={tau_level_cap} does not "
-                        f"vanish; it shrinks as the level grows, so a larger cap may "
-                        f"be needed before suspecting the implementation)")
-                elif tau_level_cap < (needed := _tau_level_needed(sub, value)):
-                    raise ResourceLimitError(
-                        f"{disagreement}; with sigma={value}, the order estimate "
-                        f"makes tau vanish along {sub} from level {needed} = "
-                        f"ceil(codim/sigma) on, above tau_level_cap={tau_level_cap}")
+            if (lp_member and bl_member and not tau_member and cls.big
+                    and tau_level_cap < (needed := _tau_level_needed(sub, value))):
+                raise ResourceLimitError(
+                    f"{disagreement}; with sigma={value}, the order estimate "
+                    f"makes tau vanish along {sub} from level {needed} = "
+                    f"ceil(codim/sigma) on, above tau_level_cap={tau_level_cap}")
             raise ContractError(disagreement)
         records.append(MethodRecord(sub, value, lp_member, tau_member, bl_member,
                                     worst_evidence(EVIDENCE_CLOSED, tau.evidence,

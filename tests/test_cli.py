@@ -332,6 +332,15 @@ class TestExitCodes:
         assert "candidate grid" in payload["error"]
         assert time.perf_counter() - start < 0.5
 
+    def test_long_staircase_scan_is_resource_limit(self):
+        # a legal input whose Newton staircase would end only at the slice
+        # x^2000000, past the slice bound of one scan
+        code, out = run_cli(["--json", "tau", "--ideal", "p=2; vars=x,y; gens=[x^2000000, y]",
+                             "--lambda", "2"])
+        payload = json.loads(out)["result"]
+        assert code == 2 and payload["kind"] == "ResourceLimitError"
+        assert "1000000 slices" in payload["error"]
+
     def test_tau_level_below_the_order_bound_is_resource_limit(self):
         # D is big with sigma_V(3)(D) = 1/8, so tau(m||D||) is only known to
         # vanish along V(3) from m = 8 on

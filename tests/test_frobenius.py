@@ -649,6 +649,28 @@ class TestJumpingNumbers:
             assert [pl.ideal.monomials for pl in rep.plateaus] \
                 == [pl.ideal.monomials for pl in expected.plateaus]
 
+    @pytest.mark.parametrize("spec, lam_max, bound", [
+        ("p=2; vars=x; gens=[x]", 3, 8),
+        ("p=3; vars=x,y; gens=[x^3*y^2]", 2, 6),
+        ("p=5; vars=x,y,z; gens=[x*y^4*z^2]", Fraction(5, 2), 5),
+        ("p=2; vars=x,y; gens=[1]", 4, 8),
+    ], ids=["x", "x3y2", "xy4z2", "unit"])
+    def test_principal_ideal_runs_test_ideal_only_at_the_jumps_and_the_end(
+            self, monkeypatch, spec, lam_max, bound):
+        # a principal monomial ideal takes the Newton lane: test_ideal runs
+        # once per reported jump and once at the last grid point, no more
+        called = []
+
+        def counting(a, lam, caps):
+            called.append(lam)
+            return tau(a, lam, caps)
+
+        monkeypatch.setattr(frobenius, "test_ideal", counting)
+        rep = f_jumping_numbers(I(spec), lam_max, bound)
+        last = Fraction(*_jump_grid(Fraction(lam_max), bound)[-1])
+        assert sorted(called) == sorted({*rep.jumps, last})
+        assert rep.certified
+
     def test_capped_chain_at_a_jump_is_not_certified(self):
         # with one Frobenius iterate the chain at the jumps of (x^2, y^2)
         # stops short; the plateaus still carry the Newton-polyhedron ideals
