@@ -179,7 +179,7 @@ def _digit_table(gens: tuple, p: int):
 
 @lru_cache(maxsize=None)
 def _small_power_gens(gens: tuple, n: int) -> frozenset:
-    return monomial_power_gens(frozenset(gens), n) if n else frozenset([(0,) * len(gens[0])])
+    return monomial_power_gens(frozenset(gens), n)
 
 
 @lru_cache(maxsize=1)
@@ -487,17 +487,19 @@ class JumpReport:
     certified: bool
 
 
-def _jump_grid(lam_max: Fraction, denom_bound: int) -> list:
+@lru_cache(maxsize=1)
+def _jump_grid(lam_max: Fraction, denom_bound: int) -> tuple:
     """The candidate points n/d in (0, lam_max] with d <= denom_bound, as
     pairs (n, d) in lowest terms, ascending.  They are sorted by the exact
     integer rank n * (L // d) = (n/d) * L with L = lcm(1..denom_bound), so
-    no Fraction is built."""
+    no Fraction is built.  The most recent grid is kept: a run of calls with
+    the same bounds sorts it once."""
     lcm_all = lcm(*range(1, denom_bound + 1))
     ranked = sorted((n * (lcm_all // d), n, d)
                     for d in range(1, denom_bound + 1)
                     for n in range(1, lam_max.numerator * d // lam_max.denominator + 1)
                     if gcd(n, d) == 1)
-    return [(n, d) for _, n, d in ranked]
+    return tuple((n, d) for _, n, d in ranked)
 
 
 def f_jumping_numbers(a: Ideal, lam_max, denom_bound: int,

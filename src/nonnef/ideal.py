@@ -153,13 +153,16 @@ def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
 
 
 def monomial_power_gens(monos: frozenset, n: int) -> frozenset:
-    """Minimal generators of the N-th power of a monomial ideal, built
-    incrementally with divisibility pruning."""
-    base = (0,) * len(next(iter(monos)))
-    current = frozenset([base])
-    for _ in range(n):
-        current = min_antichain(mono_mul(m, v) for m in current for v in monos)
-    return current
+    """Minimal generators of the n-th power of a monomial ideal, by repeated
+    squaring: O(log n) products, each reduced to its minimal antichain."""
+    power, square = frozenset([(0,) * len(next(iter(monos)))]), monos
+    while n:
+        if n & 1:
+            power = min_antichain(mono_mul(m, v) for m in power for v in square)
+        n >>= 1
+        if n:
+            square = min_antichain(mono_mul(m, v) for m in square for v in square)
+    return power
 
 
 def ideal_power(a: Ideal, n: int, caps=DEFAULT_CAPS) -> Ideal:

@@ -35,6 +35,8 @@ from .poly import min_antichain
 
 #: Most first-coordinate slices one level of `_staircase` scans past its start.
 _STAIRCASE_SLICE_CAP = 10 ** 6
+#: Most staircases `_staircase_memo` keeps, least recently used evicted first.
+_STAIRCASE_MEMO_SIZE = 4096
 
 
 def _primitive(v):
@@ -112,7 +114,7 @@ def monomial_tau_newton(n: int, pairs_with_lambda) -> frozenset:
         bound = sum(map(mul, nums, mins)) // den - size + 1
         if bound > 0:
             constraints.append((h, bound))
-    return _staircase(constraints, n)
+    return _staircase_memo(tuple(constraints), n)
 
 
 def _staircase(constraints, n: int) -> frozenset:
@@ -150,3 +152,8 @@ def _staircase(constraints, n: int) -> frozenset:
             raise ResourceLimitError(f"staircase scan exceeds {_STAIRCASE_SLICE_CAP} "
                                      f"slices of one coordinate")
     return min_antichain(out)
+
+
+# tau depends on lambda only through the integer bounds, so the many
+# exponents of one jump bisection share few staircases; a raise is not kept
+_staircase_memo = lru_cache(maxsize=_STAIRCASE_MEMO_SIZE)(_staircase)

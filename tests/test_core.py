@@ -4,23 +4,25 @@ import gc
 import random
 import re
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 
 from nonnef import (ContractError, DomainError, Ideal, PrimeField, ResourceLimitError,
                     ceil_split, f_jumping_numbers, frobenius_power, frobenius_root,
                     groebner_basis, ideal_contains, ideal_equal, ideal_power,
-                    ideal_product, monomial_ideal, parse_ideal, parse_poly, ring,
-                    unit_ideal, zero_ideal)
+                    ideal_product, mixed_test_ideal, monomial_ideal, parse_ideal,
+                    parse_poly, ring, unit_ideal, zero_ideal)
 from nonnef.asymptotic import CoordinateSubvariety, GradedSequence, asymptotic_ord, ord_along
 from nonnef.caps import DEFAULT_CAPS, Caps
 from nonnef.frobenius import test_ideal as tau
 from nonnef.groebner import buchberger
+from nonnef.ideal import monomial_power_gens
 from nonnef.poly import Polynomial, grevlex_key
 from nonnef.toric import (InvariantSubvariety, ToricDivisor, asymptotic_ord_toric,
                           base_locus_ord, builtin_fan, chart_ideal, non_nef_locus)
 from nonnef.verify import run_suite
-from oracles import minimal_elements, multiset_power
+from oracles import _power_sums, minimal_by_degree, minimal_elements, multiset_power
 
 CAP_FIELDS = sorted(f.name for f in fields(Caps))
 
@@ -146,6 +148,25 @@ class TestIdealPower:
                 tuple(map(sum, zip(*c))) if c else (0, 0)
                 for c in __import__("itertools").combinations_with_replacement(sorted(a.monomials), n))
             assert ideal_power(a, n).monomials == (naive if n else frozenset([(0, 0)]))
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_repeated_squaring_matches_the_multiset_sums(self, nvars):
+        # n up to 12 runs every pattern of up to four binary digits; the
+        # generators need not be an antichain
+        rng = random.Random(f"power-gens:{nvars}")
+        for _ in range(100):
+            gens = frozenset(tuple(rng.randrange(4) for _ in range(nvars))
+                             for _ in range(rng.randrange(1, 4)))
+            n = rng.randrange(13)
+            assert monomial_power_gens(gens, n) \
+                == minimal_by_degree(_power_sums(gens, n)), (gens, n)
+
+    def test_mixed_call_with_a_monomial_power(self):
+        # (x, y)^N at every chain member of the mixed chain
+        r = mixed_test_ideal(I("p=5; vars=x,y; gens=[x^2 + y]"), Fraction(1, 2),
+                             I("p=5; vars=x,y; gens=[x, y]"), 3)
+        assert repr(r.ideal) == "p=5; vars=x,y; gens=[y^2, x*y, x^2]"
+        assert (r.stabilization_e, r.evidence) == (1, "window-stable")
 
     def test_power_additivity_fuzz(self):
         rng = random.Random(11)

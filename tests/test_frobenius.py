@@ -1,13 +1,15 @@
 """Frobenius powers/roots, test ideals, jumping numbers, the ceil identity."""
 
 import gc
+import json
 import operator
 import random
 import sys
 import threading
 import time
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from math import floor
 
 import pytest
 
@@ -16,7 +18,7 @@ from nonnef import (Caps, ContractError, DomainError, Ideal, Polynomial,
                     frobenius_root, ideal_contains, ideal_power, ideal_product,
                     mixed_test_ideal, monomial_ideal, parse_ideal, ring,
                     unit_ideal, zero_ideal)
-from nonnef import frobenius
+from nonnef import cli, frobenius, newton
 from nonnef.field import PrimeField
 from nonnef.frobenius import (_JUMP_GRID_CAP, _general_members, _jump_grid,
                               _principal_monomial_closed_form, _root_memo, ceil_times,
@@ -850,6 +852,89 @@ class TestIntegerNewtonBound:
         monomial_tau_newton(3, pairs(Fraction(7, 4)))
         after = _candidate_normals.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+class TestStaircaseMemo:
+    """monomial_tau_newton looks its staircase up by the integer facet
+    bounds; answers must not depend on what that memo holds."""
+
+    @staticmethod
+    def _ideals(count):
+        rng = random.Random("staircase-memo")
+        ideals = []
+        while len(ideals) < count:
+            a = random_monomial_ideal(rng, R3, 3, 5)
+            if len(a.monomials) > 1:
+                ideals.append(a)
+        return ideals
+
+    @staticmethod
+    def _bounds(gens, lam):
+        # <h, u> > lam * min_v <h, v> - |h|_1, summed in Fractions
+        return tuple((h, floor(lam * mins[0] - size) + 1)
+                     for h, size, mins in _candidate_normals((gens,), 2)
+                     if floor(lam * mins[0] - size) + 1 > 0)
+
+    def test_misses_are_the_distinct_bounds_of_the_visited_points(self, monkeypatch):
+        (a,) = self._ideals(1)
+        memo = newton._staircase_memo
+        visited, chain_misses, in_chain = [], [], []
+        real_newton, real_tau = frobenius.monomial_tau_newton, frobenius.test_ideal
+
+        def recording_newton(n, pairs):
+            if not in_chain:
+                visited.append(pairs[0][1])
+            return real_newton(n, pairs)
+
+        def recording_tau(b, lam, caps):
+            before = memo.cache_info().misses
+            in_chain.append(lam)
+            try:
+                return real_tau(b, lam, caps)
+            finally:
+                in_chain.pop()
+                chain_misses.append(memo.cache_info().misses - before)
+
+        monkeypatch.setattr(frobenius, "monomial_tau_newton", recording_newton)
+        monkeypatch.setattr(frobenius, "test_ideal", recording_tau)
+        memo.cache_clear()
+        rep = f_jumping_numbers(a, 4, 12)
+        gens = tuple(sorted(a.monomials))
+        distinct = {self._bounds(gens, lam) for lam in visited}
+        assert memo.cache_info().misses == len(distinct) < len(visited)
+        # one certificate chain per jump and one at the last grid point
+        assert len(chain_misses) == len({*rep.jumps, Fraction(4)}) > 1
+        assert chain_misses == [0] * len(chain_misses)
+
+    def test_report_encoding_independent_of_memo_state(self, monkeypatch):
+        a, *others = self._ideals(4)
+
+        def encoded():
+            return json.dumps(cli._enc(f_jumping_numbers(a, 4, 12))).encode()
+
+        newton._staircase_memo.cache_clear()
+        cold = encoded()
+        newton._staircase_memo.cache_clear()
+        for b in others:
+            f_jumping_numbers(b, 4, 12)
+        assert newton._staircase_memo.cache_info().currsize > 0
+        warm = encoded()
+        monkeypatch.setattr(newton, "_staircase_memo", lru_cache(maxsize=2)(newton._staircase))
+        evicted = encoded()
+        assert newton._staircase_memo.cache_info().misses > 2
+        assert cold == warm == evicted
+
+    def test_slice_limit_is_raised_again_on_a_second_call(self, monkeypatch):
+        # the CLI repro x^2000000, y at lambda 2 needs 2 * 10^6 slices of x;
+        # a lower slice bound trips the same guard without scanning 10^6
+        monkeypatch.setattr(newton, "_STAIRCASE_SLICE_CAP", 1000)
+        pairs = ((((0, 1), (2000000, 0)), Fraction(2)),)
+        newton._staircase_memo.cache_clear()
+        for misses in (1, 2):
+            with pytest.raises(ResourceLimitError, match="exceeds 1000 slices"):
+                monomial_tau_newton(2, pairs)
+            info = newton._staircase_memo.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (misses, 0, 0)
 
 
 class TestMixedNewtonCertificate:
